@@ -72,10 +72,10 @@ fn bench_spt_build(c: &mut Criterion) {
             64,
         );
         group.bench_function(format!("{label}/oldest_snapshot"), |b| {
-            b.iter(|| store.build_spt(1).unwrap())
+            b.iter(|| store.build_spt(1).unwrap());
         });
         group.bench_function(format!("{label}/recent_snapshot"), |b| {
-            b.iter(|| store.build_spt(190).unwrap())
+            b.iter(|| store.build_spt(190).unwrap());
         });
     }
     group.finish();
@@ -97,7 +97,7 @@ fn bench_cache_keying(c: &mut Criterion) {
                         reader.page(PageId(p)).unwrap();
                     }
                 }
-            })
+            });
         });
     }
     group.finish();
@@ -128,7 +128,7 @@ fn bench_cow_commit(c: &mut Criterion) {
                     store.commit(txn).unwrap();
                 },
                 BatchSize::SmallInput,
-            )
+            );
         });
     }
     group.finish();
@@ -155,7 +155,7 @@ fn bench_result_table(c: &mut Criterion) {
                 .unwrap();
             },
             BatchSize::SmallInput,
-        )
+        );
     });
     group.bench_function("probe_update_1k", |b| {
         b.iter_batched(
@@ -186,7 +186,7 @@ fn bench_result_table(c: &mut Criterion) {
                 .unwrap();
             },
             BatchSize::SmallInput,
-        )
+        );
     });
     group.finish();
 }
@@ -200,7 +200,7 @@ fn bench_engine(c: &mut Criterion) {
                  FROM orders GROUP BY o_custkey",
             )
             .unwrap()
-        })
+        });
     });
     let db = Database::default_in_memory();
     db.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
@@ -212,13 +212,13 @@ fn bench_engine(c: &mut Criterion) {
     })
     .unwrap();
     group.bench_function("scan_filter_5k", |b| {
-        b.iter(|| db.query("SELECT COUNT(*) FROM t WHERE a % 7 = 0").unwrap())
+        b.iter(|| db.query("SELECT COUNT(*) FROM t WHERE a % 7 = 0").unwrap());
     });
     group.bench_function("group_by_5k", |b| {
         b.iter(|| {
             db.query("SELECT a % 10, COUNT(*) FROM t GROUP BY a % 10")
                 .unwrap()
-        })
+        });
     });
     group.finish();
 }

@@ -167,13 +167,15 @@ pub fn run() -> Result<String> {
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
         let (res, par) = phase("ablation:collate-parallel", || {
             run_from_cold(&h.session, "abl_par", || {
-                rql::collate_data_parallel(
-                    h.session.snap_db(),
-                    h.session.aux_db(),
-                    &qs,
-                    QQ_IO,
-                    "abl_par",
-                    threads,
+                h.session.run_mechanism(
+                    &rql::MechanismCall::new(
+                        rql::MechanismKind::Collate,
+                        &qs,
+                        QQ_IO,
+                        "abl_par",
+                        None,
+                    ),
+                    rql::Iteration::Parallel(threads),
                 )
             })
         });
@@ -193,7 +195,7 @@ pub fn run() -> Result<String> {
              multiple cores — this host reports {} — correctness of the parallel \
              path is what the run demonstrates.\n\n",
             seq.as_secs_f64() / par.as_secs_f64().max(1e-9),
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
         ));
     }
     Ok(out)

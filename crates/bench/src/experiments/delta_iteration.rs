@@ -16,7 +16,7 @@
 //! the delta scanner alone. Costs are modeled (`cpu + pagelog_reads ×
 //! c_io`), like every other figure.
 
-use rql::{AggOp, DeltaPolicy, RqlSession};
+use rql::{AggOp, DeltaPolicy, MechanismCall, MechanismKind, RqlSession};
 use rql_pagestore::PagerConfig;
 use rql_retro::{PagelogFormat, RetroConfig};
 use rql_sqlengine::Result;
@@ -109,7 +109,10 @@ pub fn run() -> Result<String> {
         })?;
         session.snap_db().store().cache().clear();
         let delta = run_from_cold(&session, "di_delta", || {
-            session.collate_data_with_policy(&qs, QQ_IO, "di_delta", DeltaPolicy::Forced)
+            session.run_mechanism(
+                &MechanismCall::new(MechanismKind::Collate, &qs, QQ_IO, "di_delta", None),
+                DeltaPolicy::Forced.into(),
+            )
         })?;
         let same = tables_identical(&session, "di_seq", "di_delta")?;
         let s = seq.accumulated_stats();
@@ -134,12 +137,15 @@ pub fn run() -> Result<String> {
         })?;
         session.snap_db().store().cache().clear();
         let delta = run_from_cold(&session, "di_av_delta", || {
-            session.aggregate_data_in_variable_with_policy(
-                &qs,
-                QQ_IO,
-                "di_av_delta",
-                AggOp::Avg,
-                DeltaPolicy::Forced,
+            session.run_mechanism(
+                &MechanismCall::new(
+                    MechanismKind::AggVar,
+                    &qs,
+                    QQ_IO,
+                    "di_av_delta",
+                    Some("avg"),
+                ),
+                DeltaPolicy::Forced.into(),
             )
         })?;
         let same = tables_identical(&session, "di_av_seq", "di_av_delta")?;

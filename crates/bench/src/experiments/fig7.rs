@@ -77,8 +77,7 @@ pub fn run() -> Result<String> {
             .iter()
             .enumerate()
             .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+            .map_or(0, |(i, _)| i);
         let ends_higher = points.last().unwrap().1 > points[min_idx].1;
         out.push_str(&format!(
             "\n- C dips at {} then {}\n\n",

@@ -13,7 +13,7 @@
 //! the win is the fraction of pages refuted. Machine-readable results
 //! land in `BENCH_prune.json`.
 
-use rql::{DeltaPolicy, RqlSession};
+use rql::{DeltaPolicy, MechanismCall, MechanismKind, RqlSession};
 use rql_pagestore::PagerConfig;
 use rql_retro::{PagelogFormat, RetroConfig};
 use rql_sqlengine::Result;
@@ -121,14 +121,20 @@ pub fn run() -> Result<String> {
         let prune_qq = format!("SELECT k, payload FROM events WHERE k < {threshold}");
         let (base, _) = phase("prune:baseline", || {
             run_from_cold(&session, "ps_base", || {
-                session.collate_data_with_policy(QS, &base_qq, "ps_base", DeltaPolicy::Off)
+                session.run_mechanism(
+                    &MechanismCall::new(MechanismKind::Collate, QS, &base_qq, "ps_base", None),
+                    DeltaPolicy::Off.into(),
+                )
             })
         });
         let base = base?;
         session.snap_db().store().cache().clear();
         let (pruned, _) = phase("prune:pruned", || {
             run_from_cold(&session, "ps_pruned", || {
-                session.collate_data_with_policy(QS, &prune_qq, "ps_pruned", DeltaPolicy::Off)
+                session.run_mechanism(
+                    &MechanismCall::new(MechanismKind::Collate, QS, &prune_qq, "ps_pruned", None),
+                    DeltaPolicy::Off.into(),
+                )
             })
         });
         let pruned = pruned?;
@@ -167,12 +173,18 @@ pub fn run() -> Result<String> {
     let threshold = (n / 100).max(1);
     let qq_1pct = format!("SELECT k, payload FROM events WHERE k < {threshold}");
     run_from_cold(&session, "ps_seq1", || {
-        session.collate_data_with_policy(QS, &qq_1pct, "ps_seq1", DeltaPolicy::Off)
+        session.run_mechanism(
+            &MechanismCall::new(MechanismKind::Collate, QS, &qq_1pct, "ps_seq1", None),
+            DeltaPolicy::Off.into(),
+        )
     })?;
     session.snap_db().store().cache().clear();
     let (delta, _) = phase("prune:delta", || {
         run_from_cold(&session, "ps_delta", || {
-            session.collate_data_with_policy(QS, &qq_1pct, "ps_delta", DeltaPolicy::Forced)
+            session.run_mechanism(
+                &MechanismCall::new(MechanismKind::Collate, QS, &qq_1pct, "ps_delta", None),
+                DeltaPolicy::Forced.into(),
+            )
         })
     });
     let delta = delta?;

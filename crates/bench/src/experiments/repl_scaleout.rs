@@ -40,8 +40,7 @@ impl TempDir {
     fn new(tag: &str) -> TempDir {
         let n = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0);
+            .map_or(0, |d| d.as_nanos());
         let path =
             std::env::temp_dir().join(format!("rql-replbench-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::create_dir_all(&path);

@@ -14,7 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use rql::{parse_maintain, DeltaPolicy, Maintainer, RqlSession};
+use rql::{parse_maintain, DeltaPolicy, Maintainer, MechanismCall, MechanismKind, RqlSession};
 use rql_sqlengine::Result;
 
 use crate::harness::{fast_mode, phase, BENCH_SCHEMA_VERSION};
@@ -109,7 +109,10 @@ pub fn run() -> Result<String> {
 
         let batch_table = format!("sm_batch_{round}");
         let (res, batch_wall) = phase("standing:batch", || {
-            session.collate_data_with_policy(QS, QQ, &batch_table, DeltaPolicy::Off)
+            session.run_mechanism(
+                &MechanismCall::new(MechanismKind::Collate, QS, QQ, &batch_table, None),
+                DeltaPolicy::Off.into(),
+            )
         });
         res?;
         batch += batch_wall;

@@ -1,7 +1,7 @@
 //! Mechanism-spec validation: the (Qs, Qq, T, spec) quadruple of an RQL
 //! mechanism call, checked against the runtime's actual contracts.
 //!
-//! Every error here mirrors a failure the mechanisms in
+//! Every error here mirrors a failure the mechanism driver in
 //! [`crate::mechanism`] would raise mid-loop — after Qs ran and possibly
 //! after result rows were already folded. The point of this module is to
 //! surface the same messages before any snapshot is opened, plus the
@@ -15,7 +15,7 @@ use crate::analyze::diag::{Code, Diagnostic, SourceKind};
 use crate::analyze::env::SchemaEnv;
 use crate::analyze::resolve::{check_select, find_word_span, OutputCol, QueryFacts};
 use crate::analyze::rewrite_safety::select_uses_current_snapshot;
-use crate::mechanism::{END_SNAPSHOT_COL, START_SNAPSHOT_COL};
+use crate::fold::{END_SNAPSHOT_COL, START_SNAPSHOT_COL};
 
 /// Which of the paper's four mechanisms a call targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +71,26 @@ pub struct MechanismCall<'a> {
     pub table: &'a str,
     /// Aggregate function / pairs list, when the mechanism takes one.
     pub spec: Option<&'a str>,
+}
+
+impl<'a> MechanismCall<'a> {
+    /// A call from its four (or, for the aggregating mechanisms, five)
+    /// arguments.
+    pub fn new(
+        kind: MechanismKind,
+        qs: &'a str,
+        qq: &'a str,
+        table: &'a str,
+        spec: Option<&'a str>,
+    ) -> Self {
+        MechanismCall {
+            kind,
+            qs,
+            qq,
+            table,
+            spec,
+        }
+    }
 }
 
 /// What the checker learned (for downstream passes and env threading).

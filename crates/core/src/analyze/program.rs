@@ -31,7 +31,6 @@ use rql_sqlengine::{
     Value,
 };
 
-use crate::aggregate::{parse_col_func_pairs, AggOp};
 use crate::analyze::dataflow::{self, DfNode, DfStmt, MechNode, PlainNode};
 use crate::analyze::delta::DeltaExplain;
 use crate::analyze::diag::{dedupe, Applicability, Code, Diagnostic, Fix, Severity, SourceKind};
@@ -40,6 +39,7 @@ use crate::analyze::mechspec::{MechanismCall, MechanismKind};
 use crate::analyze::resolve::check_select;
 use crate::analyze::rewrite_safety;
 use crate::delta::DeltaPolicy;
+use crate::mechanism::Iteration;
 use crate::report::RqlReport;
 use crate::rewrite::render_select;
 use crate::session::RqlSession;
@@ -482,6 +482,7 @@ pub struct ProgramRun {
 /// arguments — always runs the sequential loop.
 pub fn run_program_with_reports(session: &RqlSession, program: &Program) -> Result<ProgramRun> {
     let mut out = ProgramRun::default();
+    let iteration = Iteration::Delta(program.policy.unwrap_or(DeltaPolicy::Off));
     for stmt in &program.statements {
         // In a batch run, `MAINTAIN QUERY` executes its seed pass — one
         // mechanism run over the backlog Qs — which is byte-identical to
@@ -489,23 +490,24 @@ pub fn run_program_with_reports(session: &RqlSession, program: &Program) -> Resu
         // registration, which keeps maintaining afterwards, is the
         // server's job; see `crate::maintain`.)
         if let Some(spec) = crate::maintain::parse_maintain(&stmt.text)? {
-            let report = dispatch_mechanism_parts(
-                session,
+            let call = MechanismCall::new(
                 spec.kind,
                 &spec.qs,
                 &spec.qq,
                 &spec.table,
                 spec.spec.as_deref(),
-                program.policy,
-            )?;
+            );
+            let report = session.run_mechanism(&call, iteration)?;
             out.reports.push((spec.table, report));
             continue;
         }
         if let Ok(parsed) = parse_statement(&stmt.text) {
             let mut scratch = Vec::new();
-            if let Some(call) = extract_mechanism_call(&parsed, stmt, &mut scratch) {
-                let report = dispatch_mechanism(session, &call, program.policy)?;
-                out.reports.push((call.table, report));
+            if let Some(c) = extract_mechanism_call(&parsed, stmt, &mut scratch) {
+                let call =
+                    MechanismCall::new(c.kind, &c.qs_text, &c.qq, &c.table, c.spec.as_deref());
+                let report = session.run_mechanism(&call, iteration)?;
+                out.reports.push((c.table, report));
                 continue;
             }
         }
@@ -524,61 +526,6 @@ pub fn run_program_with_reports(session: &RqlSession, program: &Program) -> Resu
         out.reports.extend(session.take_reports());
     }
     Ok(out)
-}
-
-/// Route an extracted literal-argument mechanism call through the
-/// session API form (delta-aware when `policy` is set).
-fn dispatch_mechanism(
-    session: &RqlSession,
-    call: &ExtractedCall,
-    policy: Option<DeltaPolicy>,
-) -> Result<RqlReport> {
-    dispatch_mechanism_parts(
-        session,
-        call.kind,
-        &call.qs_text,
-        &call.qq,
-        &call.table,
-        call.spec.as_deref(),
-        policy,
-    )
-}
-
-/// The same dispatch from bare textual parts — shared by the statement
-/// form above and the `MAINTAIN QUERY` seed-equivalent batch run.
-fn dispatch_mechanism_parts(
-    session: &RqlSession,
-    kind: MechanismKind,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    spec: Option<&str>,
-    policy: Option<DeltaPolicy>,
-) -> Result<RqlReport> {
-    match kind {
-        MechanismKind::Collate => match policy {
-            Some(p) => session.collate_data_with_policy(qs, qq, table, p),
-            None => session.collate_data(qs, qq, table),
-        },
-        MechanismKind::AggVar => {
-            let func = AggOp::parse(spec.unwrap_or_default())?;
-            match policy {
-                Some(p) => session.aggregate_data_in_variable_with_policy(qs, qq, table, func, p),
-                None => session.aggregate_data_in_variable(qs, qq, table, func),
-            }
-        }
-        MechanismKind::AggTable => {
-            let pairs = parse_col_func_pairs(spec.unwrap_or_default())?;
-            match policy {
-                Some(p) => session.aggregate_data_in_table_with_policy(qs, qq, table, &pairs, p),
-                None => session.aggregate_data_in_table(qs, qq, table, &pairs),
-            }
-        }
-        MechanismKind::Intervals => match policy {
-            Some(p) => session.collate_data_into_intervals_with_policy(qs, qq, table, p),
-            None => session.collate_data_into_intervals(qs, qq, table),
-        },
-    }
 }
 
 /// A mechanism call's textual arguments, extracted from one statement —

@@ -9,17 +9,24 @@
 //! snapshots with four mechanisms, each a composition of familiar
 //! relational constructs:
 //!
-//! * [`mechanism::collate_data`] — `CollateData(Qs, Qq, T)`: run Qq on
+//! * [`RqlSession::collate_data`] — `CollateData(Qs, Qq, T)`: run Qq on
 //!   every snapshot in the set Qs selects, collecting all rows in `T`;
-//! * [`mechanism::aggregate_data_in_variable`] —
+//! * [`RqlSession::aggregate_data_in_variable`] —
 //!   `AggregateDataInVariable(Qs, Qq, T, AggFunc)`: fold Qq's single
 //!   value across snapshots;
-//! * [`mechanism::aggregate_data_in_table`] —
+//! * [`RqlSession::aggregate_data_in_table`] —
 //!   `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)`: an
 //!   across-time GROUP BY with per-column aggregate functions;
-//! * [`mechanism::collate_data_into_intervals`] —
+//! * [`RqlSession::collate_data_into_intervals`] —
 //!   `CollateDataIntoIntervals(Qs, Qq, T)`: the compact record-lifetime
 //!   representation with `start_snapshot`/`end_snapshot`.
+//!
+//! All four run through one driver ([`mechanism`]): a per-snapshot
+//! source — sequential, delta chain ([`delta`]), or parallel
+//! ([`parallel`]), each memo-aware — feeding the mechanism's fold
+//! ([`fold`]). [`RqlSession::run_mechanism`] takes any
+//! [`MechanismCall`] with an [`Iteration`] choosing the source; the
+//! standing-query [`Maintainer`] keeps one such run alive across commits.
 //!
 //! The entry point is [`session::RqlSession`], which owns the
 //! snapshotable application database and the auxiliary database holding
@@ -62,6 +69,7 @@
 pub mod aggregate;
 pub mod analyze;
 pub mod delta;
+pub mod fold;
 pub mod maintain;
 pub mod mechanism;
 pub mod memoize;
@@ -79,17 +87,14 @@ pub use analyze::{
     Code, DeltaExplain, Diagnostic, Fix, FixOutcome, MechanismCall, MechanismKind, PredictedPath,
     Program, ProgramAnalysis, ProgramRun, SarifFile, SchemaEnv, Severity, SourceKind,
 };
-pub use delta::{
-    aggregate_data_in_table_delta, aggregate_data_in_variable_delta, collate_data_delta,
-    collate_data_into_intervals_delta, DeltaPolicy,
-};
+pub use delta::DeltaPolicy;
+pub use fold::{END_SNAPSHOT_COL, START_SNAPSHOT_COL};
 pub use maintain::{
     maintain_ineligibility, maintain_prefix, parse_maintain, MaintainSpec, MaintainStats,
     Maintainer, ResultDelta,
 };
-pub use mechanism::{END_SNAPSHOT_COL, START_SNAPSHOT_COL};
+pub use mechanism::Iteration;
 pub use memoize::{memo_eligible, page_version_vector, qq_fingerprint};
-pub use parallel::{aggregate_data_in_variable_parallel, collate_data_parallel};
 pub use profile::{MechanismProfile, QueryProfile, SnapshotCost};
 pub use report::{IterationReport, RqlReport};
 pub use rewrite::{

@@ -1,52 +1,74 @@
-//! The four RQL mechanisms (paper §2), implemented operationally as
-//! described in §3.
+//! The driver every RQL mechanism runs through (paper §3): Qs selects
+//! the snapshot set, then a loop body executes Qq on each snapshot and
+//! folds its rows into the result table `T` in the auxiliary database.
 //!
-//! Every mechanism is the same loop: run Qs on the auxiliary database
-//! to obtain the snapshot set, then for each snapshot id rewrite Qq
-//! (`AS OF` plus `current_snapshot()` substitution), execute it on the
-//! snapshotable database, and fold its rows into the result table `T`
-//! in the auxiliary database: blind inserts for `CollateData`; a
-//! running variable for `AggregateDataInVariable`; probe-then-update
-//! for `AggregateDataInTable`; lifetime maintenance for
-//! `CollateDataIntoIntervals`.
+//! A run is a per-snapshot **source** crossed with a **fold**:
 //!
-//! Each mechanism exists in two forms with identical folding logic:
+//! * sources produce Qq's output at each snapshot — `Source::Sequential`
+//!   re-executes the rewritten Qq (`AS OF` plus `current_snapshot()`
+//!   substitution), `Source::Chain` reads the snapshot set as a delta
+//!   chain ([`crate::delta`]), `Source::Parallel` runs the sequential
+//!   per-snapshot function on worker threads ([`crate::parallel`]); every
+//!   source consults the memo first;
+//! * folds ([`crate::fold`]) write those rows into `T`: blind inserts for
+//!   `CollateData`, a running variable for `AggregateDataInVariable`,
+//!   probe-then-update for `AggregateDataInTable`, lifetime maintenance
+//!   for `CollateDataIntoIntervals`.
 //!
-//! * the **whole-computation form** (e.g. [`collate_data`]) drives the
-//!   full Qs loop in one call — what the experiment harness uses;
-//! * the **step form** (e.g. [`collate_data_step`]) performs the
-//!   iterations for whatever Qs returns *against a possibly pre-existing
-//!   result table*, detecting "first iteration" by the table's absence.
-//!   The session's SQL UDFs (`SELECT CollateData(snap_id, …) FROM
-//!   SnapIds`) call it once per `SnapIds` row, which is exactly how the
-//!   paper's SQLite UDF callback gets invoked.
+//! The driver owns everything the loop does once: evaluating and
+//! validating Qs, parsing Qq, cancellation checkpoints, the trace spans,
+//! [`IterationReport`] accounting, and creating `T` (and dropping it
+//! again when a whole computation that created it fails). Its callers
+//! are the session's API form, the SQL-UDF step form (one call per
+//! `SnapIds` row, detecting the first iteration by `T`'s absence — how
+//! the paper's SQLite UDF callback gets invoked), program dispatch, and
+//! the standing-query maintainer.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rql_memo::MemoStore;
 use rql_sqlengine::ast::Stmt;
 use rql_sqlengine::{
-    parse_select, ColumnType, Database, QueryResult, Result, Row, SelectStmt, SqlError,
-    TableSchema, TableWriter, Value,
+    parse_select, Database, QueryResult, Result, SelectStmt, SqlError, TableWriter,
 };
 
-use crate::aggregate::{AggOp, AggState};
+use crate::analyze::{MechanismCall, MechanismKind};
+use crate::delta::{shape_eligible, DeltaPolicy, DeltaQqStream};
+use crate::fold::{Effects, Fold};
 use crate::memoize::QqMemo;
 use crate::report::{IterationReport, RqlReport};
 use crate::rewrite::rewrite_select;
 
 /// Optional shared memo store threaded from the session into the
 /// mechanism loops (`None` = memoization off).
-pub(crate) type MemoHandle = Option<Arc<MemoStore>>;
+type MemoHandle = Option<Arc<MemoStore>>;
 
-/// Start-of-lifetime column added by `CollateDataIntoIntervals`.
-pub const START_SNAPSHOT_COL: &str = "start_snapshot";
-/// End-of-lifetime column added by `CollateDataIntoIntervals`.
-pub const END_SNAPSHOT_COL: &str = "end_snapshot";
+/// How a run produces Qq's output per snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Iteration {
+    /// One snapshot after another on the calling thread. `Off` re-executes
+    /// Qq per snapshot; `Auto` and `Forced` read the snapshot set as a
+    /// delta chain where the Qq shape allows (see [`crate::delta`]).
+    Delta(DeltaPolicy),
+    /// Qq on this many worker threads, folded into `T` in Qs order (see
+    /// [`crate::parallel`]).
+    Parallel(usize),
+}
+
+impl Iteration {
+    /// Plain sequential iteration, the paper's loop.
+    pub const SEQUENTIAL: Iteration = Iteration::Delta(DeltaPolicy::Off);
+}
+
+impl From<DeltaPolicy> for Iteration {
+    fn from(policy: DeltaPolicy) -> Self {
+        Iteration::Delta(policy)
+    }
+}
 
 /// Run Qs on the auxiliary database and return the snapshot ids.
-pub(crate) fn snapshot_set(aux: &Database, qs: &str) -> Result<(Vec<u64>, std::time::Duration)> {
+fn snapshot_set(aux: &Database, qs: &str) -> Result<(Vec<u64>, Duration)> {
     let started = Instant::now();
     let result = aux.query(qs)?;
     let elapsed = started.elapsed();
@@ -56,816 +78,346 @@ pub(crate) fn snapshot_set(aux: &Database, qs: &str) -> Result<(Vec<u64>, std::t
             result.columns.len()
         )));
     }
-    let mut ids = Vec::with_capacity(result.rows.len());
-    for row in &result.rows {
-        let Some(id) = row[0].as_i64() else {
-            return Err(SqlError::Invalid(format!(
-                "Qs returned a non-integer snapshot id: {}",
-                row[0]
-            )));
-        };
-        ids.push(id as u64);
-    }
+    let ids = result
+        .rows
+        .iter()
+        .map(|row| {
+            row[0].as_i64().map(|id| id as u64).ok_or_else(|| {
+                SqlError::Invalid(format!("Qs returned a non-integer snapshot id: {}", row[0]))
+            })
+        })
+        .collect::<Result<_>>()?;
     Ok((ids, elapsed))
 }
 
-/// Shared iteration driver: parse Qq once, then per snapshot rewrite,
-/// execute, and hand the result to `body` (whose time is the "RQL UDF"
-/// component of the paper's cost breakdowns).
-fn run_loop(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    memo: MemoHandle,
-    mut body: impl FnMut(usize, u64, &QueryResult) -> Result<(u64, u64)>,
-) -> Result<RqlReport> {
-    let _qs_span = rql_trace::span(rql_trace::SpanId::QsLoop);
-    let (ids, qs_time) = snapshot_set(aux, qs)?;
-    let parsed: SelectStmt = parse_select(qq)?;
-    if parsed.as_of.is_some() {
-        return Err(SqlError::Invalid(
-            "Qq must not contain AS OF; RQL binds the snapshot per iteration".into(),
-        ));
-    }
-    let memo = QqMemo::attach(memo, snap, &parsed);
-    let mut report = RqlReport {
-        qs_time,
-        ..Default::default()
-    };
-    for (i, &sid) in ids.iter().enumerate() {
-        let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
-        let iter_started = Instant::now();
-        // Cancellation checkpoint between snapshots: a `CANCEL` that
-        // lands mid-loop stops before the next Qq opens its snapshot
-        // (row-batch checkpoints inside the executor cover the rest).
-        snap.cancel_token().check()?;
-        // Snapshots are immutable, so a memoized Qq result at `sid` is
-        // byte-identical to re-execution; hits skip the executor (and
-        // report zeroed Qq stats — no pages read, nothing evaluated).
-        let (result, memo_hit) = match memo
-            .as_ref()
-            .and_then(|m| m.lookup_result_seq(snap, &parsed, sid))
-        {
-            Some(cached) => {
-                rql_trace::instant_arg(rql_trace::SpanId::MemoHit, sid);
-                (cached, true)
-            }
-            None => {
-                if memo.is_some() {
-                    rql_trace::instant_arg(rql_trace::SpanId::MemoMiss, sid);
-                }
-                let rewritten = rewrite_select(&parsed, sid);
-                let outcome = snap.execute_stmt(&Stmt::Select(rewritten))?;
-                let result = outcome.rows().expect("SELECT yields rows");
-                if let Some(m) = &memo {
-                    m.record_result_seq(snap, &parsed, sid, &result);
-                }
-                (result, false)
-            }
-        };
-        let udf_started = Instant::now();
-        let (result_inserts, result_updates) = body(i, sid, &result)?;
-        rql_trace::instant_arg(rql_trace::SpanId::RowsFolded, result.rows.len() as u64);
-        report.iterations.push(IterationReport {
-            snap_id: sid,
-            qq_stats: result.stats,
-            udf_time: udf_started.elapsed(),
-            qq_rows: result.rows.len() as u64,
-            result_inserts,
-            result_updates,
-            memo_hit,
-            wall: iter_started.elapsed(),
-        });
-    }
-    Ok(report)
-}
-
 /// Whether `table` exists in the auxiliary database.
-pub(crate) fn table_exists(aux: &Database, table: &str) -> bool {
+fn table_exists(aux: &Database, table: &str) -> bool {
     aux.table_row_count(table).is_ok()
 }
 
-fn create_result_table(aux: &Database, table: &str, columns: &[String]) -> Result<()> {
-    let schema = TableSchema::new(
-        table,
-        columns
-            .iter()
-            .map(|c| (c.clone(), ColumnType::Any))
-            .collect(),
-    );
-    for (i, c) in schema.columns.iter().enumerate() {
-        if schema.columns[..i].iter().any(|o| o.name == c.name) {
-            return Err(SqlError::Invalid(format!(
-                "Qq output has duplicate column name {}",
-                c.name
-            )));
+/// Qq, parsed once per run, with its memo handle.
+pub(crate) struct Qq {
+    pub(crate) parsed: SelectStmt,
+    pub(crate) memo: Option<QqMemo>,
+}
+
+impl Qq {
+    /// Parse Qq, rejecting `AS OF`: RQL binds the snapshot per iteration.
+    pub(crate) fn new(snap: &Database, qq: &str, memo: MemoHandle) -> Result<Qq> {
+        let parsed = parse_select(qq)?;
+        if parsed.as_of.is_some() {
+            return Err(SqlError::Invalid(
+                "Qq must not contain AS OF; RQL binds the snapshot per iteration".into(),
+            ));
         }
+        let memo = QqMemo::attach(memo, snap, &parsed);
+        Ok(Qq { parsed, memo })
     }
-    // Quote names so literal-derived columns ("SELECT DISTINCT 1 …"
-    // yields a column named "1", as in the paper's §2.2 example) parse.
-    let cols_sql: Vec<String> = schema
-        .columns
-        .iter()
-        .map(|c| format!("\"{}\" ANY", c.name))
-        .collect();
-    aux.execute(&format!(
-        "CREATE TABLE {} ({})",
-        schema.name,
-        cols_sql.join(", ")
-    ))?;
-    Ok(())
-}
 
-/// Public wrapper for [`create_result_table`] used by the parallel
-/// extension module.
-pub(crate) fn create_result_table_pub(
-    aux: &Database,
-    table: &str,
-    columns: &[String],
-) -> Result<()> {
-    create_result_table(aux, table, columns)
-}
-
-// ======================================================================
-// CollateData
-// ======================================================================
-
-/// `CollateData(Qs, Qq, T)` — collect records from multiple snapshots
-/// into a table (paper §2.1): first iteration `CREATE TABLE T AS Qq`,
-/// subsequent iterations `INSERT INTO T Qq`.
-pub fn collate_data(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-) -> Result<RqlReport> {
-    collate_data_with_memo(snap, aux, qs, qq, table, None)
-}
-
-/// [`collate_data`] with an optional memo store attached.
-pub(crate) fn collate_data_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if table_exists(aux, table) {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists (CollateData creates it)"
-        )));
-    }
-    collate_data_step_with_memo(snap, aux, qs, qq, table, memo)
-}
-
-/// Step form of [`collate_data`]: appends to `T` if it already exists.
-pub fn collate_data_step(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-) -> Result<RqlReport> {
-    collate_data_step_with_memo(snap, aux, qs, qq, table, None)
-}
-
-/// [`collate_data_step`] with an optional memo store attached.
-pub(crate) fn collate_data_step_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    let mut exists = table_exists(aux, table);
-    run_loop(snap, aux, qs, qq, memo, |_i, _sid, result| {
-        if !exists {
-            create_result_table(aux, table, &result.columns)?;
-            exists = true;
+    /// The sequential per-snapshot function: Qq's output at `sid` and
+    /// whether the memo served it. Snapshots are immutable, so a
+    /// memoized result is byte-identical to re-execution; hits skip the
+    /// executor and report zeroed Qq stats.
+    pub(crate) fn execute(&self, snap: &Database, sid: u64) -> Result<(QueryResult, bool)> {
+        let memo = self.memo.as_ref();
+        if let Some(hit) = memo.and_then(|m| m.lookup_result_seq(snap, &self.parsed, sid)) {
+            rql_trace::instant_arg(rql_trace::SpanId::MemoHit, sid);
+            return Ok((hit, true));
         }
-        aux.with_table_writer(table, |w| {
-            for row in &result.rows {
-                w.insert(row.clone())?;
-            }
-            Ok((w.inserted(), w.updated()))
-        })
-    })
-}
-
-// ======================================================================
-// AggregateDataInVariable
-// ======================================================================
-
-/// Extract the single value of an `AggregateDataInVariable` Qq result
-/// (`None` when the snapshot contributed nothing).
-fn single_value(result: &QueryResult) -> Result<Option<&Value>> {
-    if result.columns.len() != 1 {
-        return Err(SqlError::Invalid(format!(
-            "AggregateDataInVariable expects Qq to return one column, got {}",
-            result.columns.len()
-        )));
-    }
-    match result.rows.len() {
-        0 => Ok(None),
-        1 => Ok(Some(&result.rows[0][0])),
-        n => Err(SqlError::Invalid(format!(
-            "AggregateDataInVariable expects Qq to return at most one row, got {n}"
-        ))),
+        if memo.is_some() {
+            rql_trace::instant_arg(rql_trace::SpanId::MemoMiss, sid);
+        }
+        let outcome = snap.execute_stmt(&Stmt::Select(rewrite_select(&self.parsed, sid)))?;
+        let result = outcome.rows().expect("SELECT yields rows");
+        if let Some(m) = memo {
+            m.record_result_seq(snap, &self.parsed, sid, &result);
+        }
+        Ok((result, false))
     }
 }
 
-/// `AggregateDataInVariable(Qs, Qq, T, AggFunc)` — fold a single value
-/// across snapshots in a variable, storing the result in `T` at the end
-/// (paper §2.2).
-pub fn aggregate_data_in_variable(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-) -> Result<RqlReport> {
-    aggregate_data_in_variable_with_memo(snap, aux, qs, qq, table, func, None)
-}
-
-/// [`aggregate_data_in_variable`] with an optional memo store attached.
-pub(crate) fn aggregate_data_in_variable_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if table_exists(aux, table) {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    let mut state: AggState = func.init();
-    let mut column: Option<String> = None;
-    let mut report = run_loop(snap, aux, qs, qq, memo, |_i, _sid, result| {
-        if column.is_none() {
-            column = Some(result.columns.first().cloned().unwrap_or_default());
-        }
-        if let Some(v) = single_value(result)? {
-            func.absorb(&mut state, v);
-        }
-        Ok((0, 0))
-    })?;
-    let _fin_span = rql_trace::span(rql_trace::SpanId::Finalize);
-    let finalize_started = Instant::now();
-    let column = column.unwrap_or_else(|| "value".to_owned());
-    create_result_table(aux, table, &[column])?;
-    aux.with_table_writer(table, |w| {
-        w.insert(vec![func.finish(&state)])?;
-        Ok(())
-    })?;
-    report.finalize_time = finalize_started.elapsed();
-    Ok(report)
-}
-
-/// Step form of [`aggregate_data_in_variable`]: the running variable is
-/// persisted as `T`'s single row (with `(sum, count)` companions for the
-/// AVG special case), so independent per-snapshot invocations — the UDF
-/// calling pattern — accumulate correctly.
-pub fn aggregate_data_in_variable_step(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-) -> Result<RqlReport> {
-    aggregate_data_in_variable_step_with_memo(snap, aux, qs, qq, table, func, None)
-}
-
-/// [`aggregate_data_in_variable_step`] with an optional memo store.
-pub(crate) fn aggregate_data_in_variable_step_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    run_loop(snap, aux, qs, qq, memo, |_i, _sid, result| {
-        let v = single_value(result)?.cloned();
-        let column = result.columns.first().cloned().unwrap_or_default();
-        if !table_exists(aux, table) {
-            let mut cols = vec![column.clone()];
-            if func.needs_companions() {
-                cols.push(format!("{column}__avg_sum"));
-                cols.push(format!("{column}__avg_cnt"));
-            }
-            create_result_table(aux, table, &cols)?;
-            aux.with_table_writer(table, |w| {
-                let mut state = func.init();
-                if let Some(v) = &v {
-                    func.absorb(&mut state, v);
-                }
-                let mut row = vec![func.finish(&state)];
-                if func.needs_companions() {
-                    let (sum, cnt) = match state {
-                        AggState::Avg { sum, count } => (sum, count),
-                        _ => (0.0, 0),
-                    };
-                    row.push(Value::Real(sum));
-                    row.push(Value::Integer(cnt));
-                }
-                w.insert(row)?;
-                Ok(())
-            })?;
-            return Ok((1, 0));
-        }
-        let Some(v) = v else { return Ok((0, 0)) };
-        aux.with_table_writer(table, |w| {
-            // T has exactly one row: read, combine, write back.
-            let existing = w.probe_all()?;
-            let Some((rid, old)) = existing.into_iter().next() else {
-                return Err(SqlError::Invalid(format!(
-                    "result table {table} unexpectedly empty"
-                )));
-            };
-            let mut new_row = old.clone();
-            if func.needs_companions() {
-                let mut sum = old[1].as_f64().unwrap_or(0.0);
-                let mut cnt = old[2].as_i64().unwrap_or(0);
-                if let Some(x) = v.as_f64() {
-                    sum += x;
-                    cnt += 1;
-                }
-                new_row[0] = if cnt == 0 {
-                    Value::Null
-                } else {
-                    Value::Real(sum / cnt as f64)
-                };
-                new_row[1] = Value::Real(sum);
-                new_row[2] = Value::Integer(cnt);
-            } else {
-                new_row[0] = func.combine(&old[0], &v);
-            }
-            w.update(rid, &old, new_row)?;
-            Ok((0, 1))
-        })
-    })
-}
-
-// ======================================================================
-// AggregateDataInTable
-// ======================================================================
-
-/// Internal layout of an `AggregateDataInTable` result table.
-pub(crate) struct AggTableLayout {
-    /// Positions of grouping columns within the Qq output.
-    pub(crate) group_positions: Vec<usize>,
-    /// `(qq_position, op, companion_base)` per aggregated column;
-    /// `companion_base` indexes the `(sum, count)` pair for AVG columns.
-    pub(crate) agg_columns: Vec<(usize, AggOp, Option<usize>)>,
-    /// All result-table column names (Qq columns + AVG companions).
-    pub(crate) table_columns: Vec<String>,
-}
-
-/// What one [`AggTableLayout::fold`] did to the result table — consumed
-/// by the delta driver (write-skipping) and the standing-query
-/// maintainer (result-delta frames).
-pub(crate) enum FoldEffect {
-    /// A fresh row was inserted for a new grouping key.
-    Inserted(Row),
-    /// The group's row was rewritten.
-    Updated {
-        /// The row before the fold.
-        old: Row,
-        /// The row after the fold.
-        new: Row,
+/// Where a run's per-snapshot Qq output comes from.
+pub(crate) enum Source {
+    /// [`Qq::execute`] per snapshot.
+    Sequential,
+    /// The delta chain; `anchor` is the snapshot the previous run ended
+    /// on (a standing query's next chain is `[anchor, new]`).
+    Chain {
+        stream: Box<DeltaQqStream>,
+        anchor: Option<u64>,
     },
-    /// The aggregate did not change; nothing was written.
-    Unchanged,
+    /// [`Qq::execute`] on this many worker threads.
+    Parallel(usize),
 }
 
-pub(crate) fn agg_table_layout(
-    qq_columns: &[String],
-    pairs: &[(String, AggOp)],
-) -> Result<AggTableLayout> {
-    let mut agg_columns = Vec::new();
-    let mut table_columns: Vec<String> = qq_columns.to_vec();
-    for (col, op) in pairs {
-        let pos = qq_columns
-            .iter()
-            .position(|c| c.eq_ignore_ascii_case(col))
-            .ok_or_else(|| {
-                SqlError::Unknown(format!("aggregated column {col} not in Qq output"))
-            })?;
-        let companion = if op.needs_companions() {
-            let base = table_columns.len();
-            table_columns.push(format!("{col}__avg_sum"));
-            table_columns.push(format!("{col}__avg_cnt"));
-            Some(base)
+impl Source {
+    /// The batch source for `iteration`. Under `Auto`, shapes the delta
+    /// scan cannot reproduce and `CollateDataIntoIntervals` run
+    /// sequentially; `Forced` refuses them.
+    pub(crate) fn batch(iteration: Iteration, kind: MechanismKind, qq: &Qq) -> Result<Source> {
+        let policy = match iteration {
+            Iteration::Parallel(threads) => return Ok(Source::Parallel(threads)),
+            Iteration::Delta(DeltaPolicy::Off) => return Ok(Source::Sequential),
+            Iteration::Delta(policy) => policy,
+        };
+        let refusal = if kind == MechanismKind::Intervals {
+            "DeltaPolicy::Forced is not supported for CollateDataIntoIntervals \
+             (no delta path yet; see ROADMAP open items)"
+        } else if !shape_eligible(&qq.parsed) {
+            "DeltaPolicy::Forced requires a delta-eligible Qq: a single FROM table, \
+             no joins, and no current_snapshot() in WHERE"
         } else {
-            None
+            return Ok(Source::chain(qq, policy, kind));
         };
-        agg_columns.push((pos, *op, companion));
-    }
-    let group_positions: Vec<usize> = (0..qq_columns.len())
-        .filter(|i| !agg_columns.iter().any(|(p, _, _)| p == i))
-        .collect();
-    if group_positions.is_empty() {
-        return Err(SqlError::Invalid(
-            "every Qq column is aggregated; use AggregateDataInVariable instead".into(),
-        ));
-    }
-    Ok(AggTableLayout {
-        group_positions,
-        agg_columns,
-        table_columns,
-    })
-}
-
-impl AggTableLayout {
-    /// Result-table row for a record's first appearance.
-    pub(crate) fn fresh_row(&self, record: &Row) -> Row {
-        let mut row = Vec::with_capacity(self.table_columns.len());
-        row.extend(record.iter().cloned());
-        for (pos, op, companion) in &self.agg_columns {
-            if companion.is_some() && *op == AggOp::Avg {
-                let x = record[*pos].as_f64().unwrap_or(0.0);
-                let present = !record[*pos].is_null();
-                row.push(Value::Real(x));
-                row.push(Value::Integer(i64::from(present)));
-            }
+        match policy {
+            DeltaPolicy::Forced => Err(SqlError::Invalid(refusal.into())),
+            _ => Ok(Source::Sequential),
         }
-        row
     }
 
-    /// Fold one record into the result table: probe on the grouping
-    /// columns, then update the hit or insert fresh (paper §3).
-    pub(crate) fn fold(&self, w: &mut TableWriter, record: &Row) -> Result<FoldEffect> {
-        let key: Vec<Value> = self
-            .group_positions
-            .iter()
-            .map(|&p| record[p].clone())
-            .collect();
-        let mut hits = w.probe(0, &key)?;
-        match hits.len() {
-            0 => {
-                let fresh = self.fresh_row(record);
-                w.insert(fresh.clone())?;
-                Ok(FoldEffect::Inserted(fresh))
-            }
-            1 => {
-                let (rid, old) = hits.pop().unwrap();
-                let mut new_row = old.clone();
-                for (pos, op, companion) in &self.agg_columns {
-                    match companion {
-                        Some(base) => {
-                            let mut sum = old[*base].as_f64().unwrap_or(0.0);
-                            let mut cnt = old[*base + 1].as_i64().unwrap_or(0);
-                            if let Some(x) = record[*pos].as_f64() {
-                                sum += x;
-                                cnt += 1;
-                            }
-                            new_row[*base] = Value::Real(sum);
-                            new_row[*base + 1] = Value::Integer(cnt);
-                            new_row[*pos] = if cnt == 0 {
-                                Value::Null
-                            } else {
-                                Value::Real(sum / cnt as f64)
-                            };
-                        }
-                        None => {
-                            new_row[*pos] = op.combine(&old[*pos], &record[*pos]);
-                        }
-                    }
-                }
-                // Skip the write when the aggregate did not change (MAX
-                // rarely changes; SUM changes on every contribution —
-                // the asymmetry of Figure 13's hot iterations).
-                if new_row != old {
-                    w.update(rid, &old, new_row.clone())?;
-                    Ok(FoldEffect::Updated { old, new: new_row })
-                } else {
-                    Ok(FoldEffect::Unchanged)
-                }
-            }
-            n => Err(SqlError::Invalid(format!(
-                "aggregation ill-defined: {n} result rows share one grouping key \
-                 (Qq must be unique on its grouping columns)"
-            ))),
+    /// A fresh delta chain.
+    pub(crate) fn chain(qq: &Qq, policy: DeltaPolicy, kind: MechanismKind) -> Source {
+        Source::Chain {
+            stream: Box::new(DeltaQqStream::new(
+                qq,
+                policy,
+                kind == MechanismKind::AggVar,
+            )),
+            anchor: None,
         }
     }
 }
 
-/// `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)` — an
-/// across-time GROUP BY (paper §2.3): group on the Qq columns *not*
-/// listed in the pairs, combining the listed columns across snapshots.
-pub fn aggregate_data_in_table(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-) -> Result<RqlReport> {
-    aggregate_data_in_table_with_memo(snap, aux, qs, qq, table, pairs, None)
+/// How a run treats the result table it folds into.
+pub(crate) enum Target {
+    /// A whole computation: `T` must not exist yet.
+    Fresh,
+    /// One UDF-form step: fold into `T` if it exists; `prev` is the
+    /// snapshot the preceding step folded (`CollateDataIntoIntervals`).
+    Step { prev: Option<u64> },
 }
 
-/// [`aggregate_data_in_table`] with an optional memo store attached.
-pub(crate) fn aggregate_data_in_table_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if table_exists(aux, table) {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    aggregate_data_in_table_step_with_memo(snap, aux, qs, qq, table, pairs, memo)
+/// The result table `T` as one run sees it.
+pub(crate) struct Table {
+    pub(crate) name: String,
+    /// Whether `T` exists in the auxiliary database.
+    pub(crate) exists: bool,
+    /// Whether this run created `T`.
+    created: bool,
+    /// Row-level effects of the folds, when a caller asked for them.
+    pub(crate) effects: Effects,
 }
 
-/// Step form of [`aggregate_data_in_table`]: folds into a pre-existing
-/// result table (probing from the first record) or creates it.
-pub fn aggregate_data_in_table_step(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-) -> Result<RqlReport> {
-    aggregate_data_in_table_step_with_memo(snap, aux, qs, qq, table, pairs, None)
-}
-
-/// [`aggregate_data_in_table_step`] with an optional memo store.
-pub(crate) fn aggregate_data_in_table_step_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    let mut layout: Option<AggTableLayout> = None;
-    let mut blind_first = false;
-    run_loop(snap, aux, qs, qq, memo, |i, _sid, result| {
-        if layout.is_none() {
-            let l = agg_table_layout(&result.columns, pairs)?;
-            if !table_exists(aux, table) {
-                create_result_table(aux, table, &l.table_columns)?;
-                // Paper §3: "we also create an index on Result using as
-                // key the values in non-aggregating columns".
-                let group_cols: Vec<String> = l
-                    .group_positions
-                    .iter()
-                    .map(|&p| format!("\"{}\"", result.columns[p].to_ascii_lowercase()))
-                    .collect();
-                aux.execute(&format!(
-                    "CREATE INDEX __rql_idx_{} ON {} ({})",
-                    table.to_ascii_lowercase(),
-                    table,
-                    group_cols.join(", ")
-                ))?;
-                blind_first = true;
+impl Table {
+    /// Create `T` with `columns`, all typed ANY, plus — for a non-empty
+    /// `key` — the index on those columns the probing folds need (paper
+    /// §3: "we also create an index on Result using as key the values in
+    /// non-aggregating columns").
+    pub(crate) fn create(
+        &mut self,
+        aux: &Database,
+        columns: &[String],
+        key: &[String],
+    ) -> Result<()> {
+        for (i, c) in columns.iter().enumerate() {
+            if columns[..i].iter().any(|o| o.eq_ignore_ascii_case(c)) {
+                return Err(SqlError::Invalid(format!(
+                    "Qq output has duplicate column name {c}"
+                )));
             }
-            layout = Some(l);
         }
-        let layout = layout.as_ref().expect("layout initialized");
-        aux.with_table_writer(table, |w| {
-            for record in &result.rows {
-                if blind_first && i == 0 {
-                    // First iteration over a fresh table inserts blindly
-                    // (the Qq output is unique on the grouping columns).
-                    w.insert(layout.fresh_row(record))?;
-                } else {
-                    layout.fold(w, record)?;
-                }
-            }
-            Ok((w.inserted(), w.updated()))
-        })
-    })
-}
-
-/// Sort-merge variant of [`aggregate_data_in_table`] — the alternative
-/// the paper's authors "experimented with … that turned out to be
-/// costlier" (§3), kept here as an ablation.
-///
-/// Instead of probing the result-table index per record, each iteration
-/// sorts the Qq output by grouping key and merges it against a full
-/// key-ordered scan of the result table. The merge touches every result
-/// row every iteration, which is what makes it lose to the index-probe
-/// plan whenever the result table outgrows the per-snapshot output.
-pub fn aggregate_data_in_table_sortmerge(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    pairs: &[(String, AggOp)],
-) -> Result<RqlReport> {
-    if table_exists(aux, table) {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    let mut layout: Option<AggTableLayout> = None;
-    // The sort-merge ablation stays memo-free: it exists to measure the
-    // paper's costlier alternative, and a cache would mask that cost.
-    run_loop(snap, aux, qs, qq, None, |_i, _sid, result| {
-        if layout.is_none() {
-            let l = agg_table_layout(&result.columns, pairs)?;
-            create_result_table(aux, table, &l.table_columns)?;
-            layout = Some(l);
-        }
-        let layout = layout.as_ref().expect("layout initialized");
-        // Sort this iteration's records by grouping key.
-        let mut records: Vec<&Row> = result.rows.iter().collect();
-        let positions = &layout.group_positions;
-        let cmp_keys = move |a: &Row, b: &Row| {
-            positions
-                .iter()
-                .map(|&p| a[p].total_cmp(&b[p]))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
+        // Quote names so literal-derived columns ("SELECT DISTINCT 1 …"
+        // yields a column named "1", as in the paper's §2.2 example) parse.
+        let quoted = |cols: &[String], suffix: &str| {
+            cols.iter()
+                .map(|c| format!("\"{}\"{suffix}", c.to_ascii_lowercase()))
+                .collect::<Vec<_>>()
+                .join(", ")
         };
-        records.sort_by(|a, b| cmp_keys(a, b));
-        aux.with_table_writer(table, |w| {
-            // Full scan of the result table, sorted the same way.
-            let mut existing = w.probe_all()?;
-            existing.sort_by(|(_, a), (_, b)| cmp_keys(a, b));
-            let mut e = existing.iter();
-            let mut cursor = e.next();
-            for record in records {
-                // Advance the merge cursor to the record's key.
-                while let Some((_, row)) = cursor {
-                    if cmp_keys(row, record) == std::cmp::Ordering::Less {
-                        cursor = e.next();
-                    } else {
-                        break;
-                    }
-                }
-                match cursor {
-                    Some((rid, old)) if cmp_keys(old, record) == std::cmp::Ordering::Equal => {
-                        let mut new_row = old.clone();
-                        for (pos, op, companion) in &layout.agg_columns {
-                            match companion {
-                                Some(base) => {
-                                    let mut sum = old[*base].as_f64().unwrap_or(0.0);
-                                    let mut cnt = old[*base + 1].as_i64().unwrap_or(0);
-                                    if let Some(x) = record[*pos].as_f64() {
-                                        sum += x;
-                                        cnt += 1;
-                                    }
-                                    new_row[*base] = Value::Real(sum);
-                                    new_row[*base + 1] = Value::Integer(cnt);
-                                    new_row[*pos] = if cnt == 0 {
-                                        Value::Null
-                                    } else {
-                                        Value::Real(sum / cnt as f64)
-                                    };
-                                }
-                                None => {
-                                    new_row[*pos] = op.combine(&old[*pos], &record[*pos]);
-                                }
-                            }
-                        }
-                        if new_row != *old {
-                            w.update(*rid, old, new_row)?;
-                        }
-                        cursor = e.next();
-                    }
-                    _ => {
-                        w.insert(layout.fresh_row(record))?;
-                    }
-                }
-            }
-            Ok((w.inserted(), w.updated()))
-        })
-    })
-}
-
-// ======================================================================
-// CollateDataIntoIntervals
-// ======================================================================
-
-/// `CollateDataIntoIntervals(Qs, Qq, T)` — the record-lifetime
-/// representation (paper §2.4): `T` carries `start_snapshot` /
-/// `end_snapshot`; a record also present in the previous iteration has
-/// its lifetime extended, otherwise a new lifetime row starts.
-pub fn collate_data_into_intervals(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-) -> Result<RqlReport> {
-    collate_data_into_intervals_with_memo(snap, aux, qs, qq, table, None)
-}
-
-/// [`collate_data_into_intervals`] with an optional memo store.
-pub(crate) fn collate_data_into_intervals_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    memo: MemoHandle,
-) -> Result<RqlReport> {
-    if table_exists(aux, table) {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    collate_data_into_intervals_step_with_memo(snap, aux, qs, qq, table, None, memo).map(|(r, _)| r)
-}
-
-/// Step form of [`collate_data_into_intervals`]. `prev_sid` is the
-/// snapshot id of the iteration that preceded this call (the UDF driver
-/// threads it between invocations); returns the report and the last
-/// snapshot id processed.
-pub fn collate_data_into_intervals_step(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    prev_sid: Option<u64>,
-) -> Result<(RqlReport, Option<u64>)> {
-    collate_data_into_intervals_step_with_memo(snap, aux, qs, qq, table, prev_sid, None)
-}
-
-/// [`collate_data_into_intervals_step`] with an optional memo store.
-pub(crate) fn collate_data_into_intervals_step_with_memo(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    prev_sid: Option<u64>,
-    memo: MemoHandle,
-) -> Result<(RqlReport, Option<u64>)> {
-    let mut prev = prev_sid;
-    let mut qq_arity = 0usize;
-    let report = run_loop(snap, aux, qs, qq, memo, |_i, sid, result| {
-        qq_arity = result.columns.len();
-        let first = !table_exists(aux, table);
-        if first {
-            let mut columns = result.columns.clone();
-            columns.push(START_SNAPSHOT_COL.to_owned());
-            columns.push(END_SNAPSHOT_COL.to_owned());
-            create_result_table(aux, table, &columns)?;
-            let key_cols: Vec<String> = result
-                .columns
-                .iter()
-                .map(|c| format!("\"{}\"", c.to_ascii_lowercase()))
-                .collect();
+        aux.execute(&format!(
+            "CREATE TABLE {} ({})",
+            self.name.to_ascii_lowercase(),
+            quoted(columns, " ANY")
+        ))?;
+        self.exists = true;
+        self.created = true;
+        if !key.is_empty() {
             aux.execute(&format!(
                 "CREATE INDEX __rql_idx_{} ON {} ({})",
-                table.to_ascii_lowercase(),
-                table,
-                key_cols.join(", ")
+                self.name.to_ascii_lowercase(),
+                self.name,
+                quoted(key, "")
             ))?;
         }
-        let prev_here = prev;
-        let counts = aux.with_table_writer(table, |w| {
-            for record in &result.rows {
-                let extend = if first {
-                    None
-                } else {
-                    // Find the lifetime row that ended exactly at the
-                    // previous iteration's snapshot.
-                    w.probe(0, record)?.into_iter().find(|(_, row)| {
-                        prev_here.is_some_and(|p| row[qq_arity + 1].as_i64() == Some(p as i64))
-                    })
-                };
-                match extend {
-                    Some((rid, old)) => {
-                        let mut new_row = old.clone();
-                        new_row[qq_arity + 1] = Value::Integer(sid as i64);
-                        w.update(rid, &old, new_row)?;
-                    }
-                    None => {
-                        let mut row = record.clone();
-                        row.push(Value::Integer(sid as i64));
-                        row.push(Value::Integer(sid as i64));
-                        w.insert(row)?;
-                    }
-                }
+        Ok(())
+    }
+
+    /// Run `f` with a writer over `T` and the effect log.
+    pub(crate) fn write<R>(
+        &mut self,
+        aux: &Database,
+        f: impl FnOnce(&mut TableWriter, &mut Effects) -> Result<R>,
+    ) -> Result<R> {
+        aux.with_table_writer(&self.name, |w| f(w, &mut self.effects))
+    }
+}
+
+/// One mechanism computation: Qq, its source, its fold, and `T`.
+pub(crate) struct Run {
+    qq: Qq,
+    pub(crate) source: Source,
+    pub(crate) fold: Fold,
+    pub(crate) table: Table,
+}
+
+impl Run {
+    /// Set up `call` against `target`; `source` picks the source for the
+    /// parsed Qq.
+    pub(crate) fn new(
+        snap: &Database,
+        aux: &Database,
+        call: &MechanismCall<'_>,
+        target: Target,
+        memo: MemoHandle,
+        source: impl FnOnce(&Qq) -> Result<Source>,
+    ) -> Result<Run> {
+        let exists = table_exists(aux, call.table);
+        if exists && matches!(target, Target::Fresh) {
+            return Err(SqlError::Constraint(format!(
+                "result table {} already exists",
+                call.table
+            )));
+        }
+        let qq = Qq::new(snap, call.qq, memo)?;
+        let fold = Fold::new(call.kind, call.spec, &target)?;
+        let source = source(&qq)?;
+        Ok(Run {
+            qq,
+            source,
+            fold,
+            table: Table {
+                name: call.table.to_owned(),
+                exists,
+                created: false,
+                effects: Effects::default(),
+            },
+        })
+    }
+
+    /// Evaluate Qs and fold every snapshot it selects. A run that fails
+    /// after creating `T` drops it again, so a failed computation leaves
+    /// no partial result behind.
+    pub(crate) fn run(&mut self, snap: &Database, aux: &Database, qs: &str) -> Result<RqlReport> {
+        let outcome = {
+            let _qs_span = rql_trace::span(rql_trace::SpanId::QsLoop);
+            snapshot_set(aux, qs).and_then(|(ids, qs_time)| {
+                let iterations = self.iterate(snap, aux, &ids)?;
+                Ok(RqlReport {
+                    iterations,
+                    qs_time,
+                    ..Default::default()
+                })
+            })
+        };
+        let outcome = outcome.and_then(|report| self.finish(aux, report));
+        if outcome.is_err() && self.table.created {
+            let _ = aux.execute(&format!("DROP TABLE IF EXISTS {}", self.table.name));
+            self.table.exists = false;
+        }
+        outcome
+    }
+
+    /// Fold the snapshots `ids`, in order.
+    pub(crate) fn iterate(
+        &mut self,
+        snap: &Database,
+        aux: &Database,
+        ids: &[u64],
+    ) -> Result<Vec<IterationReport>> {
+        let mut gathered = match self.source {
+            Source::Parallel(threads) => crate::parallel::gather(snap, &self.qq, ids, threads),
+            _ => Vec::new(),
+        }
+        .into_iter();
+        let readers = match &self.source {
+            Source::Chain { anchor, .. } if !ids.is_empty() => {
+                let chain: Vec<u64> = anchor.iter().chain(ids).copied().collect();
+                let mut readers = snap.store().open_snapshot_chain(&chain)?;
+                readers.drain(..chain.len() - ids.len());
+                readers
             }
-            Ok((w.inserted(), w.updated()))
-        })?;
-        prev = Some(sid);
-        Ok(counts)
-    })?;
-    Ok((report, prev))
+            _ => Vec::new(),
+        };
+        let mut reports = Vec::with_capacity(ids.len());
+        for (i, &sid) in ids.iter().enumerate() {
+            let _qq_span = rql_trace::span_arg(rql_trace::SpanId::QqIteration, sid);
+            let started = Instant::now();
+            // Cancellation checkpoint between snapshots: a `CANCEL` that
+            // lands mid-loop stops before the next Qq opens its snapshot
+            // (row-batch checkpoints inside the executor cover the rest).
+            snap.cancel_token().check()?;
+            let mut qq_wall = Duration::ZERO;
+            let produced;
+            let (result, memo_hit) = match &mut self.source {
+                Source::Sequential => {
+                    produced = self.qq.execute(snap, sid)?;
+                    (&produced.0, produced.1)
+                }
+                Source::Chain { stream, .. } => {
+                    let hit = stream.advance(snap, &self.qq, &readers[i], sid)?;
+                    (stream.current(), hit)
+                }
+                Source::Parallel(_) => {
+                    let (outcome, wall) = gathered.next().expect("one outcome per snapshot");
+                    qq_wall = wall;
+                    produced = outcome?;
+                    (&produced.0, produced.1)
+                }
+            };
+            let fold_started = Instant::now();
+            let (result_inserts, result_updates) =
+                self.fold.fold(aux, &mut self.table, sid, result)?;
+            rql_trace::instant_arg(rql_trace::SpanId::RowsFolded, result.rows.len() as u64);
+            reports.push(IterationReport {
+                snap_id: sid,
+                qq_stats: result.stats,
+                udf_time: fold_started.elapsed(),
+                qq_rows: result.rows.len() as u64,
+                result_inserts,
+                result_updates,
+                memo_hit,
+                wall: qq_wall + started.elapsed(),
+            });
+        }
+        if let (Source::Chain { anchor, .. }, Some(&last)) = (&mut self.source, ids.last()) {
+            *anchor = Some(last);
+        }
+        Ok(reports)
+    }
+
+    /// The fold's final write after the last snapshot, timed as the
+    /// report's finalize step.
+    pub(crate) fn finish(&mut self, aux: &Database, mut report: RqlReport) -> Result<RqlReport> {
+        if self.fold.finishes() {
+            let _fin_span = rql_trace::span(rql_trace::SpanId::Finalize);
+            let started = Instant::now();
+            self.fold.finish(aux, &mut self.table)?;
+            report.finalize_time = started.elapsed();
+        }
+        Ok(report)
+    }
+}
+
+/// Run `call` as a whole computation under `iteration`.
+pub(crate) fn run(
+    snap: &Database,
+    aux: &Database,
+    call: &MechanismCall<'_>,
+    iteration: Iteration,
+    memo: MemoHandle,
+) -> Result<RqlReport> {
+    Run::new(snap, aux, call, Target::Fresh, memo, |qq| {
+        Source::batch(iteration, call.kind, qq)
+    })?
+    .run(snap, aux, call.qs)
 }

@@ -1,4 +1,5 @@
-//! Parallel snapshot iteration — the paper's future work, implemented.
+//! Parallel snapshot iteration — the paper's future work, implemented
+//! as a per-snapshot source of the shared driver ([`crate::mechanism`]).
 //!
 //! "Our future work includes performance optimizations for RQL programs
 //! exploring how computations can be shared across multiple snapshots and
@@ -8,210 +9,70 @@
 //! read-only MVCC transactions over immutable SPTs and `Arc`-published
 //! pages, so any number of iterations can execute Qq concurrently. Only
 //! the fold into the result table is serialized (the auxiliary store is
-//! single-writer). [`collate_data_parallel`] and
-//! [`aggregate_data_in_variable_parallel`] run the Qq phase on a thread
-//! pool and fold results in Qs order, so their output is byte-identical
-//! to the sequential mechanisms.
+//! single-writer): workers run the sequential per-snapshot function and
+//! the driver folds their results in Qs order, so every mechanism's
+//! output is byte-identical to the sequential run.
 //!
 //! The shared buffer cache makes this *cooperative*: threads working on
 //! nearby snapshots warm each other's shared pre-states, so the total
 //! Pagelog I/O stays close to the sequential run's.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use rql_sqlengine::ast::Stmt;
-use rql_sqlengine::{parse_select, Database, QueryResult, Result, SqlError};
+use rql_sqlengine::{Database, QueryResult, Result, SqlError};
 
-use crate::aggregate::{AggOp, AggState};
-use crate::mechanism;
-use crate::report::{IterationReport, RqlReport};
-use crate::rewrite::rewrite_select;
+use crate::mechanism::Qq;
 
-/// Run Qq over every snapshot in `qs` using `threads` worker threads,
-/// returning per-snapshot results in Qs order.
-fn parallel_qq(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    threads: usize,
-) -> Result<(Vec<(u64, QueryResult)>, std::time::Duration)> {
-    let qs_started = Instant::now();
-    let qs_result = aux.query(qs)?;
-    let qs_time = qs_started.elapsed();
-    if qs_result.columns.len() != 1 {
-        return Err(SqlError::Invalid(
-            "Qs must return a single snapshot-id column".into(),
-        ));
-    }
-    let ids: Vec<u64> = qs_result
-        .rows
-        .iter()
-        .filter_map(|r| r[0].as_i64())
-        .map(|i| i as u64)
-        .collect();
-    let parsed = parse_select(qq)?;
-    if parsed.as_of.is_some() {
-        return Err(SqlError::Invalid(
-            "Qq must not contain AS OF; RQL binds the snapshot per iteration".into(),
-        ));
-    }
+/// One snapshot's outcome: Qq's output and whether the memo served it,
+/// plus the wall time the worker spent producing it.
+pub(crate) type Gathered = (Result<(QueryResult, bool)>, Duration);
+
+/// Run Qq at every snapshot in `ids` on `threads` worker threads and
+/// return the outcomes in Qs order.
+pub(crate) fn gather(snap: &Database, qq: &Qq, ids: &[u64], threads: usize) -> Vec<Gathered> {
     let threads = threads.max(1).min(ids.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<QueryResult>>>> =
-        ids.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Gathered>>> = ids.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&sid) = ids.get(i) else { break };
+                let started = Instant::now();
                 // Cancellation checkpoint between Qq executions: once the
                 // token trips, remaining snapshots fail fast instead of
-                // running their queries to completion.
-                if let Err(e) = snap.cancel_token().check() {
-                    *slots[i].lock().unwrap() = Some(Err(e));
-                    continue;
-                }
-                // A panic inside Qq execution must not poison the scope
-                // (which would abort the whole process via the scoped
-                // thread's unwind): surface it as a per-snapshot error.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let rewritten = rewrite_select(&parsed, sid);
-                    snap.execute_stmt(&Stmt::Select(rewritten))
-                        .map(|o| o.rows().expect("SELECT yields rows"))
-                }))
-                .unwrap_or_else(|payload| {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_owned());
-                    Err(SqlError::Invalid(format!(
-                        "Qq panicked on snapshot {sid}: {msg}"
-                    )))
+                // running their queries to completion. A panic inside Qq
+                // execution must not poison the scope (which would abort
+                // the whole process via the scoped thread's unwind):
+                // surface it as a per-snapshot error.
+                let outcome = snap.cancel_token().check().and_then(|()| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| qq.execute(snap, sid)))
+                        .unwrap_or_else(|payload| {
+                            let msg = payload
+                                .downcast_ref::<&str>()
+                                .map(|s| (*s).to_owned())
+                                .or_else(|| payload.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "non-string panic payload".to_owned());
+                            Err(SqlError::Invalid(format!(
+                                "Qq panicked on snapshot {sid}: {msg}"
+                            )))
+                        })
                 });
-                *slots[i].lock().unwrap() = Some(outcome);
+                *slots[i]
+                    .lock()
+                    .expect("Qq panics are caught before the slot lock") =
+                    Some((outcome, started.elapsed()));
             });
         }
     });
-    let mut out = Vec::with_capacity(ids.len());
-    for (sid, slot) in ids.iter().zip(slots) {
-        let result = slot
-            .into_inner()
-            .unwrap()
-            .expect("worker filled every slot")?;
-        out.push((*sid, result));
-    }
-    Ok((out, qs_time))
-}
-
-fn reports_from(results: &[(u64, QueryResult)]) -> Vec<IterationReport> {
-    results
-        .iter()
-        .map(|(sid, r)| IterationReport {
-            snap_id: *sid,
-            qq_stats: r.stats,
-            udf_time: std::time::Duration::ZERO,
-            qq_rows: r.rows.len() as u64,
-            result_inserts: 0,
-            result_updates: 0,
-            memo_hit: false,
-            wall: std::time::Duration::ZERO,
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("Qq panics are caught before the slot lock")
+                .expect("worker filled every slot")
         })
         .collect()
-}
-
-/// Parallel `CollateData`: Qq executes concurrently; results are folded
-/// into `T` in Qs order, so the output matches the sequential mechanism.
-pub fn collate_data_parallel(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    threads: usize,
-) -> Result<RqlReport> {
-    if aux.table_row_count(table).is_ok() {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    let (results, qs_time) = parallel_qq(snap, aux, qs, qq, threads)?;
-    let mut report = RqlReport {
-        qs_time,
-        iterations: reports_from(&results),
-        ..Default::default()
-    };
-    let fold_started = Instant::now();
-    for (i, (_, result)) in results.iter().enumerate() {
-        if i == 0 {
-            mechanism::create_result_table_pub(aux, table, &result.columns)?;
-        }
-        let (ins, upd) = aux.with_table_writer(table, |w| {
-            for row in &result.rows {
-                w.insert(row.clone())?;
-            }
-            Ok((w.inserted(), w.updated()))
-        })?;
-        report.iterations[i].result_inserts = ins;
-        report.iterations[i].result_updates = upd;
-    }
-    report.finalize_time = fold_started.elapsed();
-    Ok(report)
-}
-
-/// Parallel `AggregateDataInVariable`: Qq executes concurrently; the
-/// monoid fold order is irrelevant by definition (§2.3's abelian-monoid
-/// requirement is exactly what makes this safe).
-pub fn aggregate_data_in_variable_parallel(
-    snap: &Database,
-    aux: &Database,
-    qs: &str,
-    qq: &str,
-    table: &str,
-    func: AggOp,
-    threads: usize,
-) -> Result<RqlReport> {
-    if aux.table_row_count(table).is_ok() {
-        return Err(SqlError::Constraint(format!(
-            "result table {table} already exists"
-        )));
-    }
-    let (results, qs_time) = parallel_qq(snap, aux, qs, qq, threads)?;
-    let mut report = RqlReport {
-        qs_time,
-        iterations: reports_from(&results),
-        ..Default::default()
-    };
-    let fold_started = Instant::now();
-    let mut state: AggState = func.init();
-    let mut column: Option<String> = None;
-    for (_, result) in &results {
-        if result.columns.len() != 1 {
-            return Err(SqlError::Invalid(
-                "AggregateDataInVariable expects Qq to return one column".into(),
-            ));
-        }
-        if column.is_none() {
-            column = Some(result.columns[0].clone());
-        }
-        match result.rows.len() {
-            0 => {}
-            1 => func.absorb(&mut state, &result.rows[0][0]),
-            n => {
-                return Err(SqlError::Invalid(format!(
-                    "AggregateDataInVariable expects at most one row, got {n}"
-                )))
-            }
-        }
-    }
-    let column = column.unwrap_or_else(|| "value".to_owned());
-    mechanism::create_result_table_pub(aux, table, &[column])?;
-    aux.with_table_writer(table, |w| {
-        w.insert(vec![func.finish(&state)])?;
-        Ok(())
-    })?;
-    report.finalize_time = fold_started.elapsed();
-    Ok(report)
 }

@@ -17,10 +17,11 @@ use rql_memo::MemoStore;
 use rql_retro::RetroConfig;
 use rql_sqlengine::{CancelCause, Database, ExecOutcome, QueryResult, Result, SqlError, Value};
 
-use crate::aggregate::{parse_col_func_pairs, AggOp};
+use crate::aggregate::AggOp;
 use crate::analyze::{self, MechanismCall, MechanismKind, SchemaEnv};
-use crate::delta::{self, DeltaPolicy};
-use crate::mechanism;
+use crate::delta::DeltaPolicy;
+use crate::fold::{AggTableFold, Fold};
+use crate::mechanism::{self, Iteration, Run, Source, Target};
 use crate::report::RqlReport;
 use crate::snapids;
 
@@ -202,11 +203,7 @@ impl RqlSession {
     /// declared snapshot's schema and analysis retried once.
     fn preflight_mechanism(
         &self,
-        kind: MechanismKind,
-        qs: &str,
-        qq: &str,
-        table: &str,
-        spec: Option<&str>,
+        call: &MechanismCall<'_>,
         policy: Option<DeltaPolicy>,
     ) -> Result<()> {
         if !self.preflight.load(Ordering::Relaxed) {
@@ -214,14 +211,7 @@ impl RqlSession {
         }
         let mut snap_env = SchemaEnv::from_database(&self.snap)?;
         let aux_env = SchemaEnv::from_database(&self.aux)?;
-        let call = MechanismCall {
-            kind,
-            qs,
-            qq,
-            table,
-            spec,
-        };
-        let mut analysis = analyze::analyze_mechanism_call(&call, &snap_env, &aux_env, policy);
+        let mut analysis = analyze::analyze_mechanism_call(call, &snap_env, &aux_env, policy);
         if !analysis.qq_unknown_tables.is_empty() {
             let mut widened = false;
             for (sid, _, _) in snapids::all_snapshots(&self.aux)?.iter().rev() {
@@ -235,7 +225,7 @@ impl RqlSession {
                 }
             }
             if widened {
-                analysis = analyze::analyze_mechanism_call(&call, &snap_env, &aux_env, policy);
+                analysis = analyze::analyze_mechanism_call(call, &snap_env, &aux_env, policy);
             }
         }
         match analysis.first_error() {
@@ -278,10 +268,27 @@ impl RqlSession {
 
     // ---- the four mechanisms, API form ---------------------------------
 
+    /// Run one mechanism call as a whole computation under `iteration`:
+    /// the pre-flight analysis, then the shared driver (see
+    /// [`crate::mechanism`]). The result table is byte-identical under
+    /// every `Iteration`.
+    pub fn run_mechanism(
+        &self,
+        call: &MechanismCall<'_>,
+        iteration: Iteration,
+    ) -> Result<RqlReport> {
+        let policy = match iteration {
+            Iteration::Delta(policy) => Some(policy),
+            Iteration::Parallel(_) => None,
+        };
+        self.preflight_mechanism(call, policy)?;
+        mechanism::run(&self.snap, &self.aux, call, iteration, self.memo())
+    }
+
     /// `CollateData(Qs, Qq, T)`.
     pub fn collate_data(&self, qs: &str, qq: &str, table: &str) -> Result<RqlReport> {
-        self.preflight_mechanism(MechanismKind::Collate, qs, qq, table, None, None)?;
-        mechanism::collate_data_with_memo(&self.snap, &self.aux, qs, qq, table, self.memo())
+        let call = MechanismCall::new(MechanismKind::Collate, qs, qq, table, None);
+        self.run_mechanism(&call, Iteration::SEQUENTIAL)
     }
 
     /// `AggregateDataInVariable(Qs, Qq, T, AggFunc)`.
@@ -293,16 +300,8 @@ impl RqlSession {
         func: AggOp,
     ) -> Result<RqlReport> {
         let spec = func.to_string();
-        self.preflight_mechanism(MechanismKind::AggVar, qs, qq, table, Some(&spec), None)?;
-        mechanism::aggregate_data_in_variable_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            func,
-            self.memo(),
-        )
+        let call = MechanismCall::new(MechanismKind::AggVar, qs, qq, table, Some(&spec));
+        self.run_mechanism(&call, Iteration::SEQUENTIAL)
     }
 
     /// `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)`.
@@ -314,30 +313,8 @@ impl RqlSession {
         pairs: &[(String, AggOp)],
     ) -> Result<RqlReport> {
         let spec = render_pairs(pairs);
-        self.preflight_mechanism(MechanismKind::AggTable, qs, qq, table, Some(&spec), None)?;
-        mechanism::aggregate_data_in_table_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            pairs,
-            self.memo(),
-        )
-    }
-
-    /// Sort-merge ablation of `AggregateDataInTable` (paper §3: the
-    /// alternative that "turned out to be costlier").
-    pub fn aggregate_data_in_table_sortmerge(
-        &self,
-        qs: &str,
-        qq: &str,
-        table: &str,
-        pairs: &[(String, AggOp)],
-    ) -> Result<RqlReport> {
-        let spec = render_pairs(pairs);
-        self.preflight_mechanism(MechanismKind::AggTable, qs, qq, table, Some(&spec), None)?;
-        mechanism::aggregate_data_in_table_sortmerge(&self.snap, &self.aux, qs, qq, table, pairs)
+        let call = MechanismCall::new(MechanismKind::AggTable, qs, qq, table, Some(&spec));
+        self.run_mechanism(&call, Iteration::SEQUENTIAL)
     }
 
     /// `CollateDataIntoIntervals(Qs, Qq, T)`.
@@ -347,124 +324,31 @@ impl RqlSession {
         qq: &str,
         table: &str,
     ) -> Result<RqlReport> {
-        self.preflight_mechanism(MechanismKind::Intervals, qs, qq, table, None, None)?;
-        mechanism::collate_data_into_intervals_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            self.memo(),
-        )
+        let call = MechanismCall::new(MechanismKind::Intervals, qs, qq, table, None);
+        self.run_mechanism(&call, Iteration::SEQUENTIAL)
     }
 
-    // ---- delta-driven variants (see [`crate::delta`]) ------------------
-
-    /// `CollateData(Qs, Qq, T)` under a [`DeltaPolicy`]: unchanged heap
-    /// pages between consecutive snapshots are served from the delta
-    /// scanner's row cache instead of being re-fetched.
-    pub fn collate_data_with_policy(
-        &self,
-        qs: &str,
-        qq: &str,
-        table: &str,
-        policy: DeltaPolicy,
-    ) -> Result<RqlReport> {
-        self.preflight_mechanism(MechanismKind::Collate, qs, qq, table, None, Some(policy))?;
-        delta::collate_data_delta_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            policy,
-            self.memo(),
-        )
-    }
-
-    /// `AggregateDataInVariable(Qs, Qq, T, AggFunc)` under a
-    /// [`DeltaPolicy`]; bare inner aggregates additionally fold only the
-    /// rows that changed between snapshots.
-    pub fn aggregate_data_in_variable_with_policy(
-        &self,
-        qs: &str,
-        qq: &str,
-        table: &str,
-        func: AggOp,
-        policy: DeltaPolicy,
-    ) -> Result<RqlReport> {
-        let spec = func.to_string();
-        self.preflight_mechanism(
-            MechanismKind::AggVar,
-            qs,
-            qq,
-            table,
-            Some(&spec),
-            Some(policy),
-        )?;
-        delta::aggregate_data_in_variable_delta_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            func,
-            policy,
-            self.memo(),
-        )
-    }
-
-    /// `AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)` under a
-    /// [`DeltaPolicy`]: the delta scan feeds a write-skipping in-table
-    /// fold that probes only the groups whose contribution changed.
-    pub fn aggregate_data_in_table_with_policy(
+    /// Sort-merge ablation of `AggregateDataInTable` (paper §3: the
+    /// alternative that "turned out to be costlier"): instead of probing
+    /// the result-table index per record, each iteration merges its
+    /// key-sorted records against a full key-ordered scan of `T`. It
+    /// stays memo-free: it exists to measure that cost, and a cache
+    /// would mask it.
+    pub fn aggregate_data_in_table_sortmerge(
         &self,
         qs: &str,
         qq: &str,
         table: &str,
         pairs: &[(String, AggOp)],
-        policy: DeltaPolicy,
     ) -> Result<RqlReport> {
         let spec = render_pairs(pairs);
-        self.preflight_mechanism(
-            MechanismKind::AggTable,
-            qs,
-            qq,
-            table,
-            Some(&spec),
-            Some(policy),
-        )?;
-        delta::aggregate_data_in_table_delta_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            pairs,
-            policy,
-            self.memo(),
-        )
-    }
-
-    /// `CollateDataIntoIntervals(Qs, Qq, T)` under a [`DeltaPolicy`]
-    /// (currently sequential unless `Forced`, which errors).
-    pub fn collate_data_into_intervals_with_policy(
-        &self,
-        qs: &str,
-        qq: &str,
-        table: &str,
-        policy: DeltaPolicy,
-    ) -> Result<RqlReport> {
-        self.preflight_mechanism(MechanismKind::Intervals, qs, qq, table, None, Some(policy))?;
-        delta::collate_data_into_intervals_delta_with_memo(
-            &self.snap,
-            &self.aux,
-            qs,
-            qq,
-            table,
-            policy,
-            self.memo(),
-        )
+        let call = MechanismCall::new(MechanismKind::AggTable, qs, qq, table, Some(&spec));
+        self.preflight_mechanism(&call, None)?;
+        let mut run = Run::new(&self.snap, &self.aux, &call, Target::Fresh, None, |_| {
+            Ok(Source::Sequential)
+        })?;
+        run.fold = Fold::AggTable(AggTableFold::new(pairs.to_vec(), true));
+        run.run(&self.snap, &self.aux, qs)
     }
 
     /// Reports produced by mechanism UDFs since the last call (SQL-driven
@@ -540,72 +424,29 @@ impl RqlSession {
             .get(2)
             .and_then(Value::as_str)
             .ok_or_else(|| SqlError::Udf("third argument must be the result table".into()))?;
+        expect(if kind.takes_spec() { 4 } else { 3 })?;
+        let spec = match args.get(3) {
+            Some(v) => Some(v.as_str().ok_or_else(|| {
+                SqlError::Udf(format!("{kind:?}'s fourth argument must be text"))
+            })?),
+            None => None,
+        };
         // Single-snapshot Qs driving the shared mechanism loop.
         let qs = format!("SELECT snap_id FROM snapids WHERE snap_id = {sid}");
-        let report = match kind {
-            MechanismKind::Collate => {
-                expect(3)?;
-                mechanism::collate_data_step_with_memo(
-                    &self.snap,
-                    &self.aux,
-                    &qs,
-                    qq,
-                    table,
-                    self.memo(),
-                )?
-            }
-            MechanismKind::AggVar => {
-                expect(4)?;
-                let func = AggOp::parse(
-                    args[3]
-                        .as_str()
-                        .ok_or_else(|| SqlError::Udf("AggFunc must be text".into()))?,
-                )?;
-                mechanism::aggregate_data_in_variable_step_with_memo(
-                    &self.snap,
-                    &self.aux,
-                    &qs,
-                    qq,
-                    table,
-                    func,
-                    self.memo(),
-                )?
-            }
-            MechanismKind::AggTable => {
-                expect(4)?;
-                let pairs = parse_col_func_pairs(
-                    args[3]
-                        .as_str()
-                        .ok_or_else(|| SqlError::Udf("ListOfColFuncPairs must be text".into()))?,
-                )?;
-                mechanism::aggregate_data_in_table_step_with_memo(
-                    &self.snap,
-                    &self.aux,
-                    &qs,
-                    qq,
-                    table,
-                    &pairs,
-                    self.memo(),
-                )?
-            }
-            MechanismKind::Intervals => {
-                expect(3)?;
-                let prev = self.prev_sids.lock().get(table).copied();
-                let (report, last) = mechanism::collate_data_into_intervals_step_with_memo(
-                    &self.snap,
-                    &self.aux,
-                    &qs,
-                    qq,
-                    table,
-                    prev,
-                    self.memo(),
-                )?;
-                if let Some(last) = last {
-                    self.prev_sids.lock().insert(table.to_owned(), last);
-                }
-                report
-            }
-        };
+        let call = MechanismCall::new(kind, &qs, qq, table, spec);
+        let prev = self.prev_sids.lock().get(table).copied();
+        let mut run = Run::new(
+            &self.snap,
+            &self.aux,
+            &call,
+            Target::Step { prev },
+            self.memo(),
+            |_| Ok(Source::Sequential),
+        )?;
+        let report = run.run(&self.snap, &self.aux, &qs)?;
+        if let Some(last) = run.fold.prev_sid() {
+            self.prev_sids.lock().insert(table.to_owned(), last);
+        }
         self.last_reports.lock().push((table.to_owned(), report));
         Ok(Value::Integer(1))
     }

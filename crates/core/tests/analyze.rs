@@ -67,7 +67,16 @@ fn current_snapshot_in_qs_rejected_before_execution() {
 fn forced_delta_on_join_rejected_before_execution() {
     let session = session_with_history();
     let err = session
-        .collate_data_with_policy(QS, "SELECT a.v FROM t a, t b", "r", DeltaPolicy::Forced)
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                QS,
+                "SELECT a.v FROM t a, t b",
+                "r",
+                None,
+            ),
+            DeltaPolicy::Forced.into(),
+        )
         .unwrap_err();
     assert!(err.to_string().contains("[RQL202]"), "{err}");
 }
@@ -135,7 +144,10 @@ fn delta_explain_matches_exec_stats() {
     let explain = analysis.delta.unwrap();
     assert_eq!(explain.predicted_path, PredictedPath::Pipeline);
     let report = session
-        .collate_data_with_policy(QS, eligible, "r_eligible", DeltaPolicy::Forced)
+        .run_mechanism(
+            &MechanismCall::new(MechanismKind::Collate, QS, eligible, "r_eligible", None),
+            DeltaPolicy::Forced.into(),
+        )
         .unwrap();
     assert_eq!(
         report.accumulated_stats().delta_eligible,
@@ -160,7 +172,10 @@ fn delta_explain_matches_exec_stats() {
     let explain = analysis.delta.unwrap();
     assert_eq!(explain.predicted_path, PredictedPath::Sequential);
     let report = session
-        .collate_data_with_policy(QS, join, "r_join", DeltaPolicy::Auto)
+        .run_mechanism(
+            &MechanismCall::new(MechanismKind::Collate, QS, join, "r_join", None),
+            DeltaPolicy::Auto.into(),
+        )
         .unwrap();
     assert_eq!(
         report.accumulated_stats().delta_eligible,

@@ -5,7 +5,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rql::{AggOp, DeltaPolicy, RqlSession, Value};
+use rql::{
+    parse_maintain, AggOp, DeltaPolicy, Iteration, Maintainer, MechanismCall, MechanismKind,
+    RqlSession, Value,
+};
+use rql_memo::{MemoConfig, MemoStore};
 use std::sync::Arc;
 
 const QS: &str = "SELECT snap_id FROM SnapIds";
@@ -60,7 +64,10 @@ fn delta_collate_matches_sequential() {
         let (seq_t, delta_t) = (format!("c_seq_{i}"), format!("c_delta_{i}"));
         session.collate_data(QS, qq, &seq_t).unwrap();
         let report = session
-            .collate_data_with_policy(QS, qq, &delta_t, DeltaPolicy::Forced)
+            .run_mechanism(
+                &MechanismCall::new(MechanismKind::Collate, QS, qq, &delta_t, None),
+                DeltaPolicy::Forced.into(),
+            )
             .unwrap();
         assert_tables_identical(&session, &seq_t, &delta_t);
         let stats = report.accumulated_stats();
@@ -98,7 +105,16 @@ fn delta_agg_var_matches_sequential_for_all_inner_aggregates() {
                 .aggregate_data_in_variable(QS, qq, &seq_t, func)
                 .unwrap();
             session
-                .aggregate_data_in_variable_with_policy(QS, qq, &delta_t, func, DeltaPolicy::Forced)
+                .run_mechanism(
+                    &MechanismCall::new(
+                        MechanismKind::AggVar,
+                        QS,
+                        qq,
+                        &delta_t,
+                        Some(&func.to_string()),
+                    ),
+                    DeltaPolicy::Forced.into(),
+                )
                 .unwrap();
             assert_tables_identical(&session, &seq_t, &delta_t);
         }
@@ -166,12 +182,9 @@ fn delta_agg_var_matches_on_randomized_histories() {
                 .aggregate_data_in_variable(QS, qq, &seq_t, AggOp::Sum)
                 .unwrap();
             session
-                .aggregate_data_in_variable_with_policy(
-                    QS,
-                    qq,
-                    &delta_t,
-                    AggOp::Sum,
-                    DeltaPolicy::Forced,
+                .run_mechanism(
+                    &MechanismCall::new(MechanismKind::AggVar, QS, qq, &delta_t, Some("sum")),
+                    DeltaPolicy::Forced.into(),
                 )
                 .unwrap();
             assert_tables_identical(&session, &seq_t, &delta_t);
@@ -198,7 +211,10 @@ fn delta_degrades_cleanly_on_real_sums() {
             .aggregate_data_in_variable(QS, qq, &seq_t, AggOp::Sum)
             .unwrap();
         session
-            .aggregate_data_in_variable_with_policy(QS, qq, &delta_t, AggOp::Sum, DeltaPolicy::Auto)
+            .run_mechanism(
+                &MechanismCall::new(MechanismKind::AggVar, QS, qq, &delta_t, Some("sum")),
+                DeltaPolicy::Auto.into(),
+            )
             .unwrap();
         assert_tables_identical(&session, &seq_t, &delta_t);
     }
@@ -240,7 +256,10 @@ fn delta_skips_pages_and_fetches_less() {
     let seq = seq_session.collate_data(QS, qq, "io_seq").unwrap();
     let delta_session = build();
     let delta = delta_session
-        .collate_data_with_policy(QS, qq, "io_delta", DeltaPolicy::Forced)
+        .run_mechanism(
+            &MechanismCall::new(MechanismKind::Collate, QS, qq, "io_delta", None),
+            DeltaPolicy::Forced.into(),
+        )
         .unwrap();
 
     let a = seq_session.query_aux("SELECT * FROM io_seq").unwrap();
@@ -281,68 +300,106 @@ fn forced_policy_errors_on_ineligible_shapes() {
     let join_qs = format!("SELECT snap_id FROM SnapIds WHERE snap_id = {max_sid}");
     // Join shape.
     assert!(session
-        .collate_data_with_policy(
-            &join_qs,
-            "SELECT m.v FROM m, other WHERE m.grp = other.grp",
-            "x1",
-            DeltaPolicy::Forced,
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                &join_qs,
+                "SELECT m.v FROM m, other WHERE m.grp = other.grp",
+                "x1",
+                None
+            ),
+            DeltaPolicy::Forced.into()
         )
         .is_err());
     // Iteration-dependent scan filter.
     assert!(session
-        .collate_data_with_policy(
-            QS,
-            "SELECT grp FROM m WHERE v < current_snapshot()",
-            "x2",
-            DeltaPolicy::Forced,
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                QS,
+                "SELECT grp FROM m WHERE v < current_snapshot()",
+                "x2",
+                None
+            ),
+            DeltaPolicy::Forced.into()
         )
         .is_err());
     // AS OF is reserved for the driver, like the sequential loop.
     assert!(session
-        .collate_data_with_policy(QS, "SELECT grp FROM m AS OF 1", "x3", DeltaPolicy::Forced)
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                QS,
+                "SELECT grp FROM m AS OF 1",
+                "x3",
+                None
+            ),
+            DeltaPolicy::Forced.into()
+        )
         .is_err());
     // AggregateDataInTable has a delta path now; Forced errors only on
     // ineligible shapes, like CollateData.
     assert!(session
-        .aggregate_data_in_table_with_policy(
-            QS,
-            "SELECT grp, v FROM m WHERE v < current_snapshot()",
-            "x4",
-            &[("v".to_string(), AggOp::Sum)],
-            DeltaPolicy::Forced,
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::AggTable,
+                QS,
+                "SELECT grp, v FROM m WHERE v < current_snapshot()",
+                "x4",
+                Some("(v,sum)")
+            ),
+            DeltaPolicy::Forced.into()
         )
         .is_err());
     // CollateDataIntoIntervals still has no delta path and refuses Forced.
-    assert!(
-        session
-            .collate_data_into_intervals_with_policy(
+    assert!(session
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Intervals,
                 QS,
                 "SELECT grp FROM m",
                 "x5",
-                DeltaPolicy::Forced,
-            )
-            .is_err()
-    );
+                None
+            ),
+            DeltaPolicy::Forced.into()
+        )
+        .is_err());
     // Eligible AggTable shapes run the pipeline under Forced.
     session
-        .aggregate_data_in_table_with_policy(
-            QS,
-            "SELECT grp, v FROM m",
-            "x6",
-            &[("v".to_string(), AggOp::Sum)],
-            DeltaPolicy::Forced,
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::AggTable,
+                QS,
+                "SELECT grp, v FROM m",
+                "x6",
+                Some("(v,sum)"),
+            ),
+            DeltaPolicy::Forced.into(),
         )
         .unwrap();
     session
-        .collate_data_into_intervals_with_policy(QS, "SELECT grp FROM m", "x7", DeltaPolicy::Auto)
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Intervals,
+                QS,
+                "SELECT grp FROM m",
+                "x7",
+                None,
+            ),
+            DeltaPolicy::Auto.into(),
+        )
         .unwrap();
     // Auto silently falls back to the sequential path on a join shape.
     session
-        .collate_data_with_policy(
-            &join_qs,
-            "SELECT m.v FROM m, other WHERE m.grp = other.grp",
-            "x8",
-            DeltaPolicy::Auto,
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                &join_qs,
+                "SELECT m.v FROM m, other WHERE m.grp = other.grp",
+                "x8",
+                None,
+            ),
+            DeltaPolicy::Auto.into(),
         )
         .unwrap();
     session
@@ -364,90 +421,258 @@ fn delta_refuses_existing_result_table() {
         .unwrap();
     for policy in [DeltaPolicy::Off, DeltaPolicy::Auto, DeltaPolicy::Forced] {
         assert!(session
-            .collate_data_with_policy(QS, "SELECT grp FROM m", "taken", policy)
+            .run_mechanism(
+                &MechanismCall::new(
+                    MechanismKind::Collate,
+                    QS,
+                    "SELECT grp FROM m",
+                    "taken",
+                    None
+                ),
+                policy.into()
+            )
             .is_err());
         assert!(session
-            .aggregate_data_in_variable_with_policy(
-                QS,
-                "SELECT COUNT(*) FROM m",
-                "taken",
-                AggOp::Sum,
-                policy,
+            .run_mechanism(
+                &MechanismCall::new(
+                    MechanismKind::AggVar,
+                    QS,
+                    "SELECT COUNT(*) FROM m",
+                    "taken",
+                    Some("sum")
+                ),
+                policy.into()
             )
             .is_err());
     }
 }
 
+/// Every source the driver offers: sequential, the delta chain under both
+/// policies, and parallel on one and three workers.
+const SOURCES: [Iteration; 5] = [
+    Iteration::SEQUENTIAL,
+    Iteration::Delta(DeltaPolicy::Auto),
+    Iteration::Delta(DeltaPolicy::Forced),
+    Iteration::Parallel(1),
+    Iteration::Parallel(3),
+];
+
+/// One call per mechanism over `m` (Qq, spec).
+const MECHANISMS: [(MechanismKind, &str, Option<&str>); 4] = [
+    (MechanismKind::Collate, "SELECT grp, v FROM m", None),
+    (MechanismKind::AggVar, "SELECT SUM(v) FROM m", Some("sum")),
+    (
+        MechanismKind::AggTable,
+        "SELECT grp, v FROM m",
+        Some("(v,sum)"),
+    ),
+    (MechanismKind::Intervals, "SELECT grp FROM m", None),
+];
+
+/// Whether `iteration` applies to `kind` (CollateDataIntoIntervals has
+/// no batch delta path, so `Forced` refuses it).
+fn applies(kind: MechanismKind, iteration: Iteration) -> bool {
+    kind != MechanismKind::Intervals || iteration != DeltaPolicy::Forced.into()
+}
+
 /// The zero-snapshot satellite: when Qs selects no snapshots, every
-/// mechanism variant (sequential, parallel, delta) behaves identically —
-/// CollateData creates no table, AggregateDataInVariable creates the
-/// identity table with the fallback "value" column.
+/// mechanism behaves identically under every source, with or without a
+/// memo — CollateData, AggregateDataInTable and CollateDataIntoIntervals
+/// create no table, AggregateDataInVariable creates the identity table
+/// with the fallback "value" column.
 #[test]
 fn zero_snapshot_behaviour_is_uniform_across_variants() {
     let session = history();
     let empty_qs = "SELECT snap_id FROM SnapIds WHERE snap_id > 1000000";
+    for memo in [false, true] {
+        session.set_memo(memo.then(|| Arc::new(MemoStore::new(MemoConfig::default()))));
+        for (m, (kind, qq, spec)) in MECHANISMS.into_iter().enumerate() {
+            for (s, iteration) in SOURCES.into_iter().enumerate() {
+                if !applies(kind, iteration) {
+                    continue;
+                }
+                let t = format!("z_{memo}_{m}_{s}");
+                session
+                    .run_mechanism(&MechanismCall::new(kind, empty_qs, qq, &t, spec), iteration)
+                    .unwrap();
+                if kind != MechanismKind::AggVar {
+                    assert!(
+                        session.aux_db().table_row_count(&t).is_err(),
+                        "{kind:?} over zero snapshots must not create {t} ({iteration:?})"
+                    );
+                    continue;
+                }
+                let r = session.query_aux(&format!("SELECT * FROM {t}")).unwrap();
+                assert_eq!(r.columns, vec!["value".to_string()], "{t}");
+                assert_eq!(r.rows, vec![vec![Value::Null]], "{t}");
+            }
+        }
+    }
+}
 
+/// Every source, with and without a memo, leaves byte-identical result
+/// tables for every mechanism.
+#[test]
+fn every_source_folds_identical_tables() {
+    let session = history();
+    for memo in [false, true] {
+        session.set_memo(memo.then(|| Arc::new(MemoStore::new(MemoConfig::default()))));
+        for (m, (kind, qq, spec)) in MECHANISMS.into_iter().enumerate() {
+            let want = format!("s_want_{memo}_{m}");
+            session
+                .run_mechanism(
+                    &MechanismCall::new(kind, QS, qq, &want, spec),
+                    Iteration::SEQUENTIAL,
+                )
+                .unwrap();
+            for (s, iteration) in SOURCES.into_iter().enumerate().skip(1) {
+                if !applies(kind, iteration) {
+                    continue;
+                }
+                let t = format!("s_{memo}_{m}_{s}");
+                session
+                    .run_mechanism(&MechanismCall::new(kind, QS, qq, &t, spec), iteration)
+                    .unwrap();
+                assert_tables_identical(&session, &want, &t);
+            }
+        }
+    }
+}
+
+/// A whole computation that fails after creating T drops it again —
+/// under every source and in a standing query's seed pass — so a re-run
+/// under the same name succeeds.
+#[test]
+fn failed_run_drops_the_result_table_it_created() {
+    let session = history();
     session
-        .collate_data(empty_qs, "SELECT grp FROM m", "z_seq")
+        .execute("CREATE TABLE old_t (k INTEGER, v INTEGER)")
         .unwrap();
     session
-        .collate_data_with_policy(
-            empty_qs,
-            "SELECT grp FROM m",
-            "z_delta",
-            DeltaPolicy::Forced,
-        )
+        .execute("INSERT INTO old_t VALUES (1, 10), (2, 20)")
         .unwrap();
-    rql::collate_data_parallel(
-        session.snap_db(),
-        session.aux_db(),
-        empty_qs,
-        "SELECT grp FROM m",
-        "z_par",
-        2,
-    )
-    .unwrap();
-    for t in ["z_seq", "z_delta", "z_par"] {
+    let first = session.declare_snapshot(None).unwrap();
+    session.execute("INSERT INTO old_t VALUES (3, 30)").unwrap();
+    session.declare_snapshot(None).unwrap();
+    // Qq's table is gone by the last snapshot: the run fails there.
+    session.execute("DROP TABLE old_t").unwrap();
+    let last = session.declare_snapshot(None).unwrap();
+    let failing = format!("SELECT snap_id FROM SnapIds WHERE snap_id >= {first}");
+    let passing = format!("{failing} AND snap_id < {last}");
+    let calls = [
+        (
+            MechanismKind::Collate,
+            "SELECT k, v FROM old_t",
+            None,
+            "CollateData",
+        ),
+        (
+            MechanismKind::AggVar,
+            "SELECT SUM(v) FROM old_t",
+            Some("sum"),
+            "AggregateDataInVariable",
+        ),
+        (
+            MechanismKind::AggTable,
+            "SELECT k, v FROM old_t",
+            Some("(v,sum)"),
+            "AggregateDataInTable",
+        ),
+        (
+            MechanismKind::Intervals,
+            "SELECT k FROM old_t",
+            None,
+            "CollateDataIntoIntervals",
+        ),
+    ];
+    for (m, (kind, qq, spec, udf)) in calls.into_iter().enumerate() {
+        for (s, iteration) in SOURCES.into_iter().enumerate() {
+            if !applies(kind, iteration) {
+                continue;
+            }
+            let t = format!("f_{m}_{s}");
+            let err = session
+                .run_mechanism(&MechanismCall::new(kind, &failing, qq, &t, spec), iteration)
+                .unwrap_err();
+            assert!(
+                session.aux_db().table_row_count(&t).is_err(),
+                "{kind:?} under {iteration:?} left {t} behind after: {err}"
+            );
+            session
+                .run_mechanism(&MechanismCall::new(kind, &passing, qq, &t, spec), iteration)
+                .unwrap();
+        }
+        // The standing query's seed pass is the same driver run.
+        let t = format!("f_seed_{m}");
+        let spec_arg = spec.map(|s| format!(", '{s}'")).unwrap_or_default();
+        let maintain = |qs: &str| {
+            let text = format!(
+                "MAINTAIN QUERY q{m} AS SELECT {udf}(snap_id, '{qq}', '{t}'{spec_arg}) FROM SnapIds \
+                 WHERE {}",
+                qs.split_once(" WHERE ").unwrap().1
+            );
+            parse_maintain(&text).unwrap().unwrap()
+        };
+        let err = Maintainer::register(&session, maintain(&failing))
+            .err()
+            .unwrap();
         assert!(
-            session.aux_db().table_row_count(t).is_err(),
-            "CollateData over zero snapshots must not create {t}"
+            session.aux_db().table_row_count(&t).is_err(),
+            "{kind:?} seed left {t} behind after: {err}"
         );
+        Maintainer::register(&session, maintain(&passing)).unwrap();
     }
+}
 
-    session
-        .aggregate_data_in_variable(empty_qs, "SELECT SUM(v) FROM m", "zv_seq", AggOp::Sum)
-        .unwrap();
-    session
-        .aggregate_data_in_variable_with_policy(
-            empty_qs,
-            "SELECT SUM(v) FROM m",
-            "zv_delta",
-            AggOp::Sum,
-            DeltaPolicy::Forced,
-        )
-        .unwrap();
-    rql::aggregate_data_in_variable_parallel(
-        session.snap_db(),
-        session.aux_db(),
-        empty_qs,
-        "SELECT SUM(v) FROM m",
-        "zv_par",
-        AggOp::Sum,
-        2,
-    )
-    .unwrap();
-    for t in ["zv_seq", "zv_delta", "zv_par"] {
-        let r = session.query_aux(&format!("SELECT * FROM {t}")).unwrap();
-        assert_eq!(r.columns, vec!["value".to_string()], "{t}");
-        assert_eq!(r.rows, vec![vec![Value::Null]], "{t}");
+/// Every source reports real per-iteration values: Σ `result_inserts`
+/// equals T's row count, fold time is measured, and each iteration's
+/// wall covers its fold — the standing seed report included.
+#[test]
+fn reports_agree_across_sources() {
+    let session = history();
+    let check = |report: &rql::RqlReport, t: &str| {
+        let rows = session.aux_db().table_row_count(t).unwrap();
+        assert_eq!(report.total_result_inserts(), rows, "{t}");
+        assert!(report.total_udf_time() > std::time::Duration::ZERO, "{t}");
+        assert!(
+            report.iterations.iter().all(|it| it.wall >= it.udf_time),
+            "{t}"
+        );
+    };
+    for (s, iteration) in SOURCES.into_iter().enumerate() {
+        let t = format!("r_{s}");
+        let report = session
+            .run_mechanism(
+                &MechanismCall::new(MechanismKind::Collate, QS, "SELECT grp, v FROM m", &t, None),
+                iteration,
+            )
+            .unwrap();
+        check(&report, &t);
     }
+    let spec = parse_maintain(
+        "MAINTAIN QUERY r AS SELECT CollateData(snap_id, 'SELECT grp, v FROM m', 'r_seed') \
+         FROM SnapIds",
+    )
+    .unwrap()
+    .unwrap();
+    let (_maintainer, report) = Maintainer::register(&session, spec).unwrap();
+    check(&report, "r_seed");
 }
 
 #[test]
 fn off_policy_delegates_to_sequential() {
     let session = history();
     let report = session
-        .collate_data_with_policy(QS, "SELECT grp, v FROM m", "off_t", DeltaPolicy::Off)
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                QS,
+                "SELECT grp, v FROM m",
+                "off_t",
+                None,
+            ),
+            DeltaPolicy::Off.into(),
+        )
         .unwrap();
     assert_eq!(report.accumulated_stats().delta_eligible, 0);
     session

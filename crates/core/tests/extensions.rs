@@ -2,7 +2,7 @@
 //! sort-merge `AggregateDataInTable` ablation (§3's "costlier"
 //! alternative) and the parallel iteration extension (§7's future work).
 
-use rql::{AggOp, RqlSession, Value};
+use rql::{AggOp, Iteration, MechanismCall, MechanismKind, RqlSession, Value};
 use std::sync::Arc;
 
 fn history() -> Arc<RqlSession> {
@@ -60,15 +60,18 @@ fn parallel_collate_matches_sequential() {
     session
         .collate_data("SELECT snap_id FROM SnapIds", qq, "seq_r")
         .unwrap();
-    rql::collate_data_parallel(
-        session.snap_db(),
-        session.aux_db(),
-        "SELECT snap_id FROM SnapIds",
-        qq,
-        "par_r",
-        4,
-    )
-    .unwrap();
+    session
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                "SELECT snap_id FROM SnapIds",
+                qq,
+                "par_r",
+                None,
+            ),
+            Iteration::Parallel(4),
+        )
+        .unwrap();
     let a = session
         .query_aux("SELECT grp, v, sid FROM seq_r ORDER BY sid, grp")
         .unwrap();
@@ -85,16 +88,18 @@ fn parallel_agg_var_matches_sequential() {
     session
         .aggregate_data_in_variable("SELECT snap_id FROM SnapIds", qq, "seq_v", AggOp::Sum)
         .unwrap();
-    rql::aggregate_data_in_variable_parallel(
-        session.snap_db(),
-        session.aux_db(),
-        "SELECT snap_id FROM SnapIds",
-        qq,
-        "par_v",
-        AggOp::Sum,
-        3,
-    )
-    .unwrap();
+    session
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::AggVar,
+                "SELECT snap_id FROM SnapIds",
+                qq,
+                "par_v",
+                Some("sum"),
+            ),
+            Iteration::Parallel(3),
+        )
+        .unwrap();
     let a = session.query_aux("SELECT * FROM seq_v").unwrap();
     let b = session.query_aux("SELECT * FROM par_v").unwrap();
     assert_eq!(a.rows, b.rows);
@@ -103,15 +108,18 @@ fn parallel_agg_var_matches_sequential() {
 #[test]
 fn parallel_with_one_thread_degenerates_gracefully() {
     let session = history();
-    rql::collate_data_parallel(
-        session.snap_db(),
-        session.aux_db(),
-        "SELECT snap_id FROM SnapIds WHERE snap_id <= 2",
-        "SELECT grp FROM m",
-        "one_thread",
-        1,
-    )
-    .unwrap();
+    session
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                "SELECT snap_id FROM SnapIds WHERE snap_id <= 2",
+                "SELECT grp FROM m",
+                "one_thread",
+                None,
+            ),
+            Iteration::Parallel(1),
+        )
+        .unwrap();
     let n = session.aux_db().table_row_count("one_thread").unwrap();
     assert!(n > 0);
 }
@@ -124,15 +132,43 @@ fn parallel_refuses_existing_table() {
         .aux_db()
         .execute("CREATE TABLE taken (x INTEGER)")
         .unwrap();
-    let err = rql::collate_data_parallel(
-        session.snap_db(),
-        session.aux_db(),
-        "SELECT snap_id FROM SnapIds",
-        "SELECT grp FROM m",
-        "taken",
-        2,
+    let err = session.run_mechanism(
+        &MechanismCall::new(
+            MechanismKind::Collate,
+            "SELECT snap_id FROM SnapIds",
+            "SELECT grp FROM m",
+            "taken",
+            None,
+        ),
+        Iteration::Parallel(2),
     );
     assert!(err.is_err());
+}
+
+/// Parallel runs validate Qs like every other source: a non-integer or
+/// NULL snapshot id is an error, never a silently dropped snapshot.
+#[test]
+fn parallel_rejects_non_integer_snapshot_ids() {
+    let session = history();
+    for qs in ["SELECT 'x' FROM SnapIds", "SELECT NULL FROM SnapIds"] {
+        let err = session
+            .run_mechanism(
+                &MechanismCall::new(
+                    MechanismKind::Collate,
+                    qs,
+                    "SELECT grp FROM m",
+                    "bad_qs",
+                    None,
+                ),
+                Iteration::Parallel(2),
+            )
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("non-integer snapshot id"),
+            "{qs}: {err}"
+        );
+        assert!(session.aux_db().table_row_count("bad_qs").is_err());
+    }
 }
 
 #[test]
@@ -164,27 +200,33 @@ fn parallel_qq_panic_becomes_error_with_snapshot_id() {
         }
         Ok(Value::Integer(1))
     });
-    let err = rql::collate_data_parallel(
-        session.snap_db(),
-        session.aux_db(),
-        "SELECT snap_id FROM SnapIds",
-        "SELECT boom(grp) FROM m",
-        "panic_t",
-        4,
-    )
-    .unwrap_err();
+    let err = session
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                "SELECT snap_id FROM SnapIds",
+                "SELECT boom(grp) FROM m",
+                "panic_t",
+                None,
+            ),
+            Iteration::Parallel(4),
+        )
+        .unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("panicked on snapshot"), "{msg}");
     assert!(msg.contains("injected failure"), "{msg}");
     // The panic did not tear down the process or poison the pool: a
     // well-behaved run on the same session still works.
-    rql::collate_data_parallel(
-        session.snap_db(),
-        session.aux_db(),
-        "SELECT snap_id FROM SnapIds",
-        "SELECT grp FROM m",
-        "after_panic",
-        4,
-    )
-    .unwrap();
+    session
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                "SELECT snap_id FROM SnapIds",
+                "SELECT grp FROM m",
+                "after_panic",
+                None,
+            ),
+            Iteration::Parallel(4),
+        )
+        .unwrap();
 }

@@ -632,10 +632,10 @@ mod tests {
             assert_eq!(got.origin(), None);
             match (&frame, &got) {
                 (Frame::Segment { txn_id: a, .. }, Frame::Segment { txn_id: b, .. }) => {
-                    assert_eq!(a, b)
+                    assert_eq!(a, b);
                 }
                 (Frame::Spt { snapshot_id: a, .. }, Frame::Spt { snapshot_id: b, .. }) => {
-                    assert_eq!(a, b)
+                    assert_eq!(a, b);
                 }
                 other => panic!("frame kind changed: {other:?}"),
             }

@@ -221,7 +221,7 @@ mod tests {
         for iv in &intervals {
             sk.push_interval(iv);
         }
-        let raw_refs: Vec<&[(PageId, u64)]> = intervals.iter().map(|v| v.as_slice()).collect();
+        let raw_refs: Vec<&[(PageId, u64)]> = intervals.iter().map(Vec::as_slice).collect();
         for from in 0..intervals.len() {
             let mut via_skippy = HashMap::new();
             let mut via_linear = HashMap::new();
@@ -252,7 +252,7 @@ mod tests {
         for iv in &intervals {
             sk.push_interval(iv);
         }
-        let raw_refs: Vec<&[(PageId, u64)]> = intervals.iter().map(|v| v.as_slice()).collect();
+        let raw_refs: Vec<&[(PageId, u64)]> = intervals.iter().map(Vec::as_slice).collect();
         let mut spt = HashMap::new();
         let skippy_scanned = sk.scan_into(0, u64::MAX, &mut spt);
         let mut spt2 = HashMap::new();

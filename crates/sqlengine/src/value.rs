@@ -319,7 +319,7 @@ mod tests {
             Value::Null,
             Value::Real(2.5),
         ];
-        vals.sort_by(|a, b| a.total_cmp(b));
+        vals.sort_by(Value::total_cmp);
         assert_eq!(
             vals,
             vec![

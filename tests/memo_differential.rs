@@ -3,8 +3,9 @@
 //! * **Memoized = recomputed** — over arbitrary snapshot histories, a
 //!   session with a memo attached must produce byte-identical result
 //!   tables to a memo-free session running the same program, across all
-//!   four mechanisms and every `DeltaPolicy`, both cold (populating the
-//!   cache) and warm (serving from it).
+//!   four mechanisms and every iteration lane (sequential, delta chain,
+//!   parallel), both cold (populating the cache) and warm (serving from
+//!   it).
 //! * **Spill faults degrade to recompute** — corrupting or outright
 //!   breaking the disk-spill tier must never fail a query: lookups
 //!   degrade to misses (counted in `spill_errors`) and the results stay
@@ -16,7 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use rql::{AggOp, DeltaPolicy, RqlSession};
+use rql::{DeltaPolicy, Iteration, MechanismCall, MechanismKind, RqlSession};
 use rql_memo::{MemoConfig, MemoStore};
 use rql_sqlengine::Row;
 
@@ -81,57 +82,66 @@ fn build_session(ops: &[Op]) -> Arc<RqlSession> {
 
 const QS: &str = "SELECT snap_id FROM SnapIds";
 
-/// Run every mechanism applicable under `policy` into uniquely named
+/// Every lane the driver offers: sequential, the delta chain under both
+/// policies, and parallel on one and three workers.
+const LANES: [Iteration; 5] = [
+    Iteration::SEQUENTIAL,
+    Iteration::Delta(DeltaPolicy::Auto),
+    Iteration::Delta(DeltaPolicy::Forced),
+    Iteration::Parallel(1),
+    Iteration::Parallel(3),
+];
+
+/// Run every mechanism applicable under `iteration` into uniquely named
 /// result tables, returning each table's rows in a canonical order.
-fn run_mechanisms(session: &Arc<RqlSession>, policy: DeltaPolicy, tag: &str) -> Vec<Vec<Row>> {
+fn run_mechanisms(session: &Arc<RqlSession>, iteration: Iteration, tag: &str) -> Vec<Vec<Row>> {
+    // (mechanism, Qq, spec, table prefix, canonical order)
+    let mechanisms = [
+        (
+            MechanismKind::Collate,
+            "SELECT k, v FROM kv",
+            None,
+            "c",
+            "k, v",
+        ),
+        (
+            MechanismKind::AggVar,
+            "SELECT SUM(v) FROM kv",
+            Some("max"),
+            "a",
+            "1",
+        ),
+        (
+            MechanismKind::AggTable,
+            "SELECT k, v FROM kv",
+            Some("(v,min)"),
+            "t",
+            "k",
+        ),
+        (
+            MechanismKind::Intervals,
+            "SELECT k FROM kv",
+            None,
+            "i",
+            "k, start_snapshot, end_snapshot",
+        ),
+    ];
     let mut out = Vec::new();
-    let read = |table: &str, order: &str| -> Vec<Row> {
+    for (kind, qq, spec, prefix, order) in mechanisms {
+        // CollateDataIntoIntervals has no delta path yet: under Forced the
+        // pre-flight (correctly) rejects it.
+        if kind == MechanismKind::Intervals && iteration == DeltaPolicy::Forced.into() {
+            continue;
+        }
+        let table = format!("{prefix}{tag}");
         session
+            .run_mechanism(&MechanismCall::new(kind, QS, qq, &table, spec), iteration)
+            .unwrap_or_else(|e| panic!("{kind:?} under {iteration:?}: {e}"));
+        let rows = session
             .query_aux(&format!("SELECT * FROM {table} ORDER BY {order}"))
             .expect("read back")
-            .rows
-    };
-
-    session
-        .collate_data_with_policy(QS, "SELECT k, v FROM kv", &format!("c{tag}"), policy)
-        .expect("collate");
-    out.push(read(&format!("c{tag}"), "k, v"));
-
-    session
-        .aggregate_data_in_variable_with_policy(
-            QS,
-            "SELECT SUM(v) FROM kv",
-            &format!("a{tag}"),
-            AggOp::Max,
-            policy,
-        )
-        .expect("aggvar");
-    out.push(read(&format!("a{tag}"), "1"));
-
-    // AggregateDataInTable and CollateDataIntoIntervals have no delta
-    // driver yet: under Forced the pre-flight (correctly) rejects them,
-    // so the Forced lane exercises the two delta-capable mechanisms.
-    if policy != DeltaPolicy::Forced {
-        session
-            .aggregate_data_in_table_with_policy(
-                QS,
-                "SELECT k, v FROM kv",
-                &format!("t{tag}"),
-                &[("v".to_owned(), AggOp::Min)],
-                policy,
-            )
-            .expect("aggtable");
-        out.push(read(&format!("t{tag}"), "k"));
-
-        session
-            .collate_data_into_intervals_with_policy(
-                QS,
-                "SELECT k FROM kv",
-                &format!("i{tag}"),
-                policy,
-            )
-            .expect("intervals");
-        out.push(read(&format!("i{tag}"), "k, start_snapshot, end_snapshot"));
+            .rows;
+        out.push(rows);
     }
     out
 }
@@ -145,29 +155,26 @@ proptest! {
     fn memoized_matches_recomputed_for_all_policies(
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
-        for (pi, policy) in [DeltaPolicy::Off, DeltaPolicy::Auto, DeltaPolicy::Forced]
-            .into_iter()
-            .enumerate()
-        {
+        for (pi, lane) in LANES.into_iter().enumerate() {
             let plain = build_session(&ops);
             let memoized = build_session(&ops);
             let memo = Arc::new(MemoStore::new(MemoConfig::default()));
             memoized.set_memo(Some(Arc::clone(&memo)));
 
-            let want = run_mechanisms(&plain, policy, &format!("_{pi}_0"));
+            let want = run_mechanisms(&plain, lane, &format!("_{pi}_0"));
             // Cold: the memo populates while producing live results.
-            let cold = run_mechanisms(&memoized, policy, &format!("_{pi}_0"));
-            prop_assert_eq!(&cold, &want, "cold run diverged under {:?}", policy);
+            let cold = run_mechanisms(&memoized, lane, &format!("_{pi}_0"));
+            prop_assert_eq!(&cold, &want, "cold run diverged under {:?}", lane);
             prop_assert!(memo.stats().inserts > 0, "cold run must populate the memo");
 
             // Warm: the same Qq set replays out of the cache.
-            let warm = run_mechanisms(&memoized, policy, &format!("_{pi}_1"));
-            let want_again = run_mechanisms(&plain, policy, &format!("_{pi}_1"));
-            prop_assert_eq!(&warm, &want_again, "warm run diverged under {:?}", policy);
+            let warm = run_mechanisms(&memoized, lane, &format!("_{pi}_1"));
+            let want_again = run_mechanisms(&plain, lane, &format!("_{pi}_1"));
+            prop_assert_eq!(&warm, &want_again, "warm run diverged under {:?}", lane);
             prop_assert!(
                 memo.stats().hits > 0,
                 "warm run must hit the memo under {:?}: {:?}",
-                policy,
+                lane,
                 memo.stats()
             );
         }
@@ -215,15 +222,15 @@ fn corrupted_spill_tier_degrades_to_recompute() {
     }));
     memoized.set_memo(Some(Arc::clone(&memo)));
 
-    let want = run_mechanisms(&plain, DeltaPolicy::Auto, "_s0");
-    let cold = run_mechanisms(&memoized, DeltaPolicy::Auto, "_s0");
+    let want = run_mechanisms(&plain, DeltaPolicy::Auto.into(), "_s0");
+    let cold = run_mechanisms(&memoized, DeltaPolicy::Auto.into(), "_s0");
     assert_eq!(cold, want, "cold run with spill diverged");
     let stats = memo.stats();
     assert!(stats.spill_writes > 0, "spill tier unused: {stats:?}");
 
     // Sanity: an intact spill tier actually serves the warm run.
-    let warm = run_mechanisms(&memoized, DeltaPolicy::Auto, "_s1");
-    let want_again = run_mechanisms(&plain, DeltaPolicy::Auto, "_s1");
+    let warm = run_mechanisms(&memoized, DeltaPolicy::Auto.into(), "_s1");
+    let want_again = run_mechanisms(&plain, DeltaPolicy::Auto.into(), "_s1");
     assert_eq!(warm, want_again, "warm spill run diverged");
     assert!(
         memo.stats().spill_reads > 0,
@@ -244,8 +251,8 @@ fn corrupted_spill_tier_degrades_to_recompute() {
     assert!(corrupted > 0, "no spill files found in {spill:?}");
 
     let before = memo.stats().spill_errors;
-    let after_corruption = run_mechanisms(&memoized, DeltaPolicy::Auto, "_s2");
-    let want_final = run_mechanisms(&plain, DeltaPolicy::Auto, "_s2");
+    let after_corruption = run_mechanisms(&memoized, DeltaPolicy::Auto.into(), "_s2");
+    let want_final = run_mechanisms(&plain, DeltaPolicy::Auto.into(), "_s2");
     assert_eq!(
         after_corruption, want_final,
         "corrupted spill tier changed results"
@@ -276,8 +283,8 @@ fn unwritable_spill_tier_never_fails_a_query() {
     }));
     memoized.set_memo(Some(Arc::clone(&memo)));
 
-    let want = run_mechanisms(&plain, DeltaPolicy::Auto, "_u0");
-    let got = run_mechanisms(&memoized, DeltaPolicy::Auto, "_u0");
+    let want = run_mechanisms(&plain, DeltaPolicy::Auto.into(), "_u0");
+    let got = run_mechanisms(&memoized, DeltaPolicy::Auto.into(), "_u0");
     assert_eq!(got, want, "broken spill tier changed results");
     let stats = memo.stats();
     assert!(
@@ -286,8 +293,8 @@ fn unwritable_spill_tier_never_fails_a_query() {
     );
 
     // Warm runs still work off the in-memory tier.
-    let warm = run_mechanisms(&memoized, DeltaPolicy::Auto, "_u1");
-    let want_again = run_mechanisms(&plain, DeltaPolicy::Auto, "_u1");
+    let warm = run_mechanisms(&memoized, DeltaPolicy::Auto.into(), "_u1");
+    let want_again = run_mechanisms(&plain, DeltaPolicy::Auto.into(), "_u1");
     assert_eq!(warm, want_again);
     assert!(memo.stats().hits > 0);
 

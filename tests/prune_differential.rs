@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use rql::{AggOp, DeltaPolicy, RqlSession};
+use rql::{DeltaPolicy, MechanismCall, MechanismKind, RqlSession};
 use rql_memo::{MemoConfig, MemoStore};
 use rql_sqlengine::Row;
 
@@ -134,22 +134,43 @@ fn run_mechanisms(
     };
 
     session
-        .collate_data_with_policy(QS, pick(QQ_COLLATE), &format!("c{tag}"), policy)
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                QS,
+                pick(QQ_COLLATE),
+                &format!("c{tag}"),
+                None,
+            ),
+            policy.into(),
+        )
         .expect("collate");
     out.push(read(&format!("c{tag}"), "k, v"));
 
     session
-        .collate_data_with_policy(QS, pick(QQ_BLOOM), &format!("b{tag}"), policy)
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                QS,
+                pick(QQ_BLOOM),
+                &format!("b{tag}"),
+                None,
+            ),
+            policy.into(),
+        )
         .expect("collate bloom");
     out.push(read(&format!("b{tag}"), "k"));
 
     session
-        .aggregate_data_in_variable_with_policy(
-            QS,
-            pick(QQ_AGGVAR),
-            &format!("a{tag}"),
-            AggOp::Max,
-            policy,
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::AggVar,
+                QS,
+                pick(QQ_AGGVAR),
+                &format!("a{tag}"),
+                Some("max"),
+            ),
+            policy.into(),
         )
         .expect("aggvar");
     out.push(read(&format!("a{tag}"), "1"));
@@ -158,22 +179,29 @@ fn run_mechanisms(
     // driver; under Forced the pre-flight rejects them.
     if policy != DeltaPolicy::Forced {
         session
-            .aggregate_data_in_table_with_policy(
-                QS,
-                pick(QQ_AGGTABLE),
-                &format!("t{tag}"),
-                &[("v".to_owned(), AggOp::Min)],
-                policy,
+            .run_mechanism(
+                &MechanismCall::new(
+                    MechanismKind::AggTable,
+                    QS,
+                    pick(QQ_AGGTABLE),
+                    &format!("t{tag}"),
+                    Some("(v,min)"),
+                ),
+                policy.into(),
             )
             .expect("aggtable");
         out.push(read(&format!("t{tag}"), "k"));
 
         session
-            .collate_data_into_intervals_with_policy(
-                QS,
-                pick(QQ_INTERVALS),
-                &format!("i{tag}"),
-                policy,
+            .run_mechanism(
+                &MechanismCall::new(
+                    MechanismKind::Intervals,
+                    QS,
+                    pick(QQ_INTERVALS),
+                    &format!("i{tag}"),
+                    None,
+                ),
+                policy.into(),
             )
             .expect("intervals");
         out.push(read(&format!("i{tag}"), "k, start_snapshot, end_snapshot"));
@@ -334,11 +362,15 @@ fn selective_predicate_prunes_pages_and_snapshots() {
     let io = session.snap_db().io_stats();
     let before = io.snapshot();
     session
-        .collate_data_with_policy(
-            QS,
-            "SELECT a, b FROM wide WHERE a < 10",
-            "ctrl",
-            DeltaPolicy::Forced,
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                QS,
+                "SELECT a, b FROM wide WHERE a < 10",
+                "ctrl",
+                None,
+            ),
+            DeltaPolicy::Forced.into(),
         )
         .expect("collate");
     let after = io.snapshot();

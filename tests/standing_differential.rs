@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use rql::{parse_maintain, AggOp, DeltaPolicy, Maintainer, RqlSession};
+use rql::{parse_maintain, DeltaPolicy, Maintainer, MechanismCall, MechanismKind, RqlSession};
 use rql_sqlengine::Row;
 
 const QS: &str = "SELECT snap_id FROM SnapIds";
@@ -103,8 +103,17 @@ fn mechanisms() -> Vec<Mech> {
                 .into(),
             batch_policies: &[DeltaPolicy::Off, DeltaPolicy::Auto, DeltaPolicy::Forced],
             batch: |s, t, p| {
-                s.collate_data_with_policy(QS, "SELECT grp, v FROM m", t, p)
-                    .expect("batch collate");
+                s.run_mechanism(
+                    &MechanismCall::new(
+                        MechanismKind::Collate,
+                        QS,
+                        "SELECT grp, v FROM m",
+                        t,
+                        None,
+                    ),
+                    p.into(),
+                )
+                .expect("batch collate");
             },
         },
         Mech {
@@ -117,12 +126,15 @@ fn mechanisms() -> Vec<Mech> {
                 .into(),
             batch_policies: &[DeltaPolicy::Off, DeltaPolicy::Auto, DeltaPolicy::Forced],
             batch: |s, t, p| {
-                s.aggregate_data_in_table_with_policy(
-                    QS,
-                    "SELECT grp, SUM(v) AS sv FROM m GROUP BY grp",
-                    t,
-                    &[("sv".to_string(), AggOp::Sum)],
-                    p,
+                s.run_mechanism(
+                    &MechanismCall::new(
+                        MechanismKind::AggTable,
+                        QS,
+                        "SELECT grp, SUM(v) AS sv FROM m GROUP BY grp",
+                        t,
+                        Some("(sv,sum)"),
+                    ),
+                    p.into(),
                 )
                 .expect("batch aggtable");
             },
@@ -134,12 +146,15 @@ fn mechanisms() -> Vec<Mech> {
                 .into(),
             batch_policies: &[DeltaPolicy::Off, DeltaPolicy::Auto],
             batch: |s, t, p| {
-                s.aggregate_data_in_variable_with_policy(
-                    QS,
-                    "SELECT SUM(v) FROM m",
-                    t,
-                    AggOp::Sum,
-                    p,
+                s.run_mechanism(
+                    &MechanismCall::new(
+                        MechanismKind::AggVar,
+                        QS,
+                        "SELECT SUM(v) FROM m",
+                        t,
+                        Some("sum"),
+                    ),
+                    p.into(),
                 )
                 .expect("batch aggvar");
             },
@@ -152,8 +167,11 @@ fn mechanisms() -> Vec<Mech> {
                 .into(),
             batch_policies: &[DeltaPolicy::Off, DeltaPolicy::Auto],
             batch: |s, t, p| {
-                s.collate_data_into_intervals_with_policy(QS, "SELECT grp FROM m", t, p)
-                    .expect("batch intervals");
+                s.run_mechanism(
+                    &MechanismCall::new(MechanismKind::Intervals, QS, "SELECT grp FROM m", t, None),
+                    p.into(),
+                )
+                .expect("batch intervals");
             },
         },
     ]
@@ -304,7 +322,16 @@ fn out_of_order_and_duplicate_commits_are_ignored() {
     let _ = d1;
     let (_, m_rows) = table_contents(&session, "m_dup");
     session
-        .collate_data_with_policy(QS, "SELECT grp, v FROM m", "b_dup", DeltaPolicy::Auto)
+        .run_mechanism(
+            &MechanismCall::new(
+                MechanismKind::Collate,
+                QS,
+                "SELECT grp, v FROM m",
+                "b_dup",
+                None,
+            ),
+            DeltaPolicy::Auto.into(),
+        )
         .expect("batch");
     let (_, b_rows) = table_contents(&session, "b_dup");
     assert_eq!(m_rows, b_rows);
