@@ -244,58 +244,31 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Point-in-time view of a store's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStatsSnapshot {
-    /// Lookups answered from the cache (memory or spill).
-    pub hits: u64,
-    /// Lookups that fell through to recomputation.
-    pub misses: u64,
-    /// Entries evicted from memory by the byte budget.
-    pub evictions: u64,
-    /// Entries inserted.
-    pub inserts: u64,
-    /// Current in-memory footprint (gauge).
-    pub bytes: u64,
-    /// Entries successfully read back from the spill tier.
-    pub spill_reads: u64,
-    /// Entries written to the spill tier.
-    pub spill_writes: u64,
-    /// Bytes written to the spill tier.
-    pub spill_bytes: u64,
-    /// Spill IO/corruption faults absorbed (each one degraded to a
-    /// miss, never an error).
-    pub spill_errors: u64,
-}
-
-impl MemoStatsSnapshot {
-    /// Every counter as a stable `(name, value)` list, for exporters.
-    pub fn fields(&self) -> [(&'static str, u64); 9] {
-        [
-            ("hits", self.hits),
-            ("misses", self.misses),
-            ("evictions", self.evictions),
-            ("inserts", self.inserts),
-            ("bytes", self.bytes),
-            ("spill_reads", self.spill_reads),
-            ("spill_writes", self.spill_writes),
-            ("spill_bytes", self.spill_bytes),
-            ("spill_errors", self.spill_errors),
-        ]
+rql_trace::registry! {
+    #[derive(Debug, Default)]
+    struct MemoStats(AtomicU64) =>
+    /// Point-in-time view of a store's counters.
+    MemoStatsSnapshot {
+        /// Lookups answered from the cache (memory or spill).
+        hits: counter,
+        /// Lookups that fell through to recomputation.
+        misses: counter,
+        /// Entries evicted from memory by the byte budget.
+        evictions: counter,
+        /// Entries inserted.
+        inserts: counter,
+        /// Current in-memory footprint in bytes.
+        bytes: gauge,
+        /// Entries successfully read back from the spill tier.
+        spill_reads: counter,
+        /// Entries written to the spill tier.
+        spill_writes: counter,
+        /// Bytes written to the spill tier (cumulative).
+        spill_bytes: counter,
+        /// Spill IO/corruption faults absorbed (each one degraded to a
+        /// miss, never an error).
+        spill_errors: counter,
     }
-}
-
-#[derive(Debug, Default)]
-struct MemoStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    inserts: AtomicU64,
-    bytes: AtomicU64,
-    spill_reads: AtomicU64,
-    spill_writes: AtomicU64,
-    spill_bytes: AtomicU64,
-    spill_errors: AtomicU64,
 }
 
 struct Entry {
@@ -366,6 +339,16 @@ impl MemoStore {
     /// stale entry (pvv mismatch) is dropped from both tiers.
     pub fn lookup(&self, key: &MemoKey, pvv: impl FnOnce() -> Option<u64>) -> Option<MemoValue> {
         let _span = rql_trace::span(rql_trace::SpanId::MemoProbe);
+        let found = self.probe(key, pvv);
+        let outcome = match found {
+            Some(_) => &self.stats.hits,
+            None => &self.stats.misses,
+        };
+        outcome.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    fn probe(&self, key: &MemoKey, pvv: impl FnOnce() -> Option<u64>) -> Option<MemoValue> {
         let idx = self.shard_of(key);
         let mem_pvv = self.shards[idx].lock().map.get(key).map(|e| e.pvv);
         let spill_path = if mem_pvv.is_none() {
@@ -374,39 +357,28 @@ impl MemoStore {
             None
         };
         if mem_pvv.is_none() && spill_path.is_none() {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let Some(current) = pvv() else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
+        let current = pvv()?;
 
         if let Some(stored) = mem_pvv {
+            let mut shard = self.shards[idx].lock();
             if stored == current {
-                let mut shard = self.shards[idx].lock();
                 if let Some(e) = shard.map.get_mut(key) {
                     if e.pvv == current {
                         e.tick = self.next_tick();
-                        let value = e.value.clone();
-                        drop(shard);
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(value);
+                        return Some(e.value.clone());
                     }
                 }
             } else {
-                let mut shard = self.shards[idx].lock();
-                if let Some(e) = shard.map.get(key) {
-                    if e.pvv == stored {
-                        Self::remove_entry(&mut shard, key, &self.stats);
-                    }
+                if shard.map.get(key).is_some_and(|e| e.pvv == stored) {
+                    Self::remove_entry(&mut shard, key, &self.stats);
                 }
                 drop(shard);
                 if let Some(p) = self.spill_path(key) {
                     let _ = fs::remove_file(p);
                 }
             }
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
 
@@ -416,18 +388,13 @@ impl MemoStore {
             Some((stored, value)) if stored == current => {
                 self.insert_mem(*key, current, value.clone());
                 self.stats.spill_reads.fetch_add(1, Ordering::Relaxed);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(value)
             }
             Some(_) => {
                 let _ = fs::remove_file(&path);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            None => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            None => None,
         }
     }
 
@@ -445,20 +412,14 @@ impl MemoStore {
         let bytes = value.approx_bytes() + ENTRY_OVERHEAD;
         let tick = self.next_tick();
         let mut shard = self.shards[self.shard_of(&key)].lock();
-        if let Some(old) = shard.map.insert(
-            key,
-            Entry {
-                pvv,
-                value,
-                bytes,
-                tick,
-            },
-        ) {
-            shard.bytes = shard.bytes.saturating_sub(old.bytes);
-            self.stats
-                .bytes
-                .fetch_sub(old.bytes as u64, Ordering::Relaxed);
-        }
+        Self::remove_entry(&mut shard, &key, &self.stats);
+        let entry = Entry {
+            pvv,
+            value,
+            bytes,
+            tick,
+        };
+        shard.map.insert(key, entry);
         shard.bytes += bytes;
         self.stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         while shard.bytes > self.per_shard_budget {
@@ -486,18 +447,7 @@ impl MemoStore {
 
     /// Current counter values.
     pub fn stats(&self) -> MemoStatsSnapshot {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        MemoStatsSnapshot {
-            hits: g(&self.stats.hits),
-            misses: g(&self.stats.misses),
-            evictions: g(&self.stats.evictions),
-            inserts: g(&self.stats.inserts),
-            bytes: g(&self.stats.bytes),
-            spill_reads: g(&self.stats.spill_reads),
-            spill_writes: g(&self.stats.spill_writes),
-            spill_bytes: g(&self.stats.spill_bytes),
-            spill_errors: g(&self.stats.spill_errors),
-        }
+        self.stats.snapshot()
     }
 
     fn spill_path(&self, key: &MemoKey) -> Option<PathBuf> {
@@ -545,11 +495,14 @@ impl MemoStore {
                     .spill_bytes
                     .fetch_add(frame.len() as u64, Ordering::Relaxed);
             }
-            Err(_) => {
-                let _ = fs::remove_file(&tmp);
-                self.stats.spill_errors.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => self.spill_fault(&tmp),
         }
+    }
+
+    /// Count an absorbed spill fault and drop the file it left behind.
+    fn spill_fault(&self, path: &Path) {
+        self.stats.spill_errors.fetch_add(1, Ordering::Relaxed);
+        let _ = fs::remove_file(path);
     }
 
     /// Read one spill file, verifying magic, key echo and checksum.
@@ -557,12 +510,8 @@ impl MemoStore {
     /// removes the file and returns `None` (the caller recomputes).
     fn spill_read(&self, key: &MemoKey, path: &Path) -> Option<(u64, MemoValue)> {
         let _span = rql_trace::span(rql_trace::SpanId::MemoSpillRead);
-        let fault = || {
-            self.stats.spill_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = fs::remove_file(path);
-        };
         let Ok(bytes) = fs::read(path) else {
-            fault();
+            self.spill_fault(path);
             return None;
         };
         let parsed = (|| -> Option<(u64, MemoValue)> {
@@ -591,7 +540,7 @@ impl MemoStore {
             Some((pvv, MemoValue::decode(payload)?))
         })();
         if parsed.is_none() {
-            fault();
+            self.spill_fault(path);
         }
         parsed
     }
@@ -767,28 +716,5 @@ mod tests {
         // The memory tier still works.
         assert_eq!(store.lookup(&k, || Some(0)), Some(result_value(2)));
         let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn stats_fields_are_stable() {
-        let names: Vec<&str> = MemoStatsSnapshot::default()
-            .fields()
-            .iter()
-            .map(|(n, _)| *n)
-            .collect();
-        assert_eq!(
-            names,
-            [
-                "hits",
-                "misses",
-                "evictions",
-                "inserts",
-                "bytes",
-                "spill_reads",
-                "spill_writes",
-                "spill_bytes",
-                "spill_errors"
-            ]
-        );
     }
 }

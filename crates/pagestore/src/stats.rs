@@ -17,34 +17,38 @@ use std::time::Duration;
 
 use rql_trace::{instant, instant_arg, SpanId};
 
-/// Monotonic event counters for a store.
-///
-/// All counters are relaxed atomics: they are statistics, not
-/// synchronization.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    /// Pages served from the in-memory current database (shared pages).
-    pub db_reads: AtomicU64,
-    /// Pages served from the buffer cache (snapshot pages already fetched).
-    pub cache_hits: AtomicU64,
-    /// Pages fetched from the Pagelog archive (cache misses → disk).
-    pub pagelog_reads: AtomicU64,
-    /// Pre-state pages copied out at commit (COW captures).
-    pub cow_captures: AtomicU64,
-    /// Pages written to the current database by commits.
-    pub pages_written: AtomicU64,
-    /// Maplog entries scanned while building SPTs.
-    pub maplog_entries_scanned: AtomicU64,
-    /// Buffer-cache evictions.
-    pub cache_evictions: AtomicU64,
-    /// Heap pages skipped because a pruning sidecar refuted the predicate
-    /// (the page body was never fetched).
-    pub pages_pruned: AtomicU64,
-    /// Qq iterations skipped entirely because every changed page was
-    /// refuted by its sidecar.
-    pub snapshots_pruned: AtomicU64,
-    /// Bytes of pruning-sidecar state built (cumulative).
-    pub sidecar_bytes: AtomicU64,
+rql_trace::registry! {
+    /// Monotonic event counters for a store.
+    ///
+    /// All counters are relaxed atomics: they are statistics, not
+    /// synchronization.
+    #[derive(Debug, Default)]
+    pub struct IoStats(AtomicU64) =>
+    /// Point-in-time copy of [`IoStats`].
+    IoStatsSnapshot {
+        /// Pages served from the in-memory current database (shared pages).
+        db_reads: counter,
+        /// Pages served from the buffer cache (snapshot pages already fetched).
+        cache_hits: counter,
+        /// Pages fetched from the Pagelog archive (cache misses → disk).
+        pagelog_reads: counter,
+        /// Pre-state pages copied out at commit (COW captures).
+        cow_captures: counter,
+        /// Pages written to the current database by commits.
+        pages_written: counter,
+        /// Maplog entries scanned while building SPTs.
+        maplog_entries_scanned: counter,
+        /// Buffer-cache evictions.
+        cache_evictions: counter,
+        /// Heap pages skipped because a pruning sidecar refuted the
+        /// predicate (the page body was never fetched).
+        pages_pruned: counter,
+        /// Qq iterations skipped entirely because every changed page was
+        /// refuted by its sidecar.
+        snapshots_pruned: counter,
+        /// Bytes of pruning-sidecar state built (cumulative).
+        sidecar_bytes: counter,
+    }
 }
 
 impl IoStats {
@@ -123,116 +127,12 @@ impl IoStats {
         self.sidecar_bytes.fetch_add(n, Ordering::Relaxed);
         instant_arg(SpanId::SidecarBuild, n);
     }
-
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            db_reads: self.db_reads.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            pagelog_reads: self.pagelog_reads.load(Ordering::Relaxed),
-            cow_captures: self.cow_captures.load(Ordering::Relaxed),
-            pages_written: self.pages_written.load(Ordering::Relaxed),
-            maplog_entries_scanned: self.maplog_entries_scanned.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            pages_pruned: self.pages_pruned.load(Ordering::Relaxed),
-            snapshots_pruned: self.snapshots_pruned.load(Ordering::Relaxed),
-            sidecar_bytes: self.sidecar_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.db_reads.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.pagelog_reads.store(0, Ordering::Relaxed);
-        self.cow_captures.store(0, Ordering::Relaxed);
-        self.pages_written.store(0, Ordering::Relaxed);
-        self.maplog_entries_scanned.store(0, Ordering::Relaxed);
-        self.cache_evictions.store(0, Ordering::Relaxed);
-        self.pages_pruned.store(0, Ordering::Relaxed);
-        self.snapshots_pruned.store(0, Ordering::Relaxed);
-        self.sidecar_bytes.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Point-in-time copy of [`IoStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoStatsSnapshot {
-    /// See [`IoStats::db_reads`].
-    pub db_reads: u64,
-    /// See [`IoStats::cache_hits`].
-    pub cache_hits: u64,
-    /// See [`IoStats::pagelog_reads`].
-    pub pagelog_reads: u64,
-    /// See [`IoStats::cow_captures`].
-    pub cow_captures: u64,
-    /// See [`IoStats::pages_written`].
-    pub pages_written: u64,
-    /// See [`IoStats::maplog_entries_scanned`].
-    pub maplog_entries_scanned: u64,
-    /// See [`IoStats::cache_evictions`].
-    pub cache_evictions: u64,
-    /// See [`IoStats::pages_pruned`].
-    pub pages_pruned: u64,
-    /// See [`IoStats::snapshots_pruned`].
-    pub snapshots_pruned: u64,
-    /// See [`IoStats::sidecar_bytes`].
-    pub sidecar_bytes: u64,
 }
 
 impl IoStatsSnapshot {
-    /// Component-wise difference `self - earlier`, for measuring an interval.
-    pub fn delta(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            db_reads: self.db_reads - earlier.db_reads,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            pagelog_reads: self.pagelog_reads - earlier.pagelog_reads,
-            cow_captures: self.cow_captures - earlier.cow_captures,
-            pages_written: self.pages_written - earlier.pages_written,
-            maplog_entries_scanned: self.maplog_entries_scanned - earlier.maplog_entries_scanned,
-            cache_evictions: self.cache_evictions - earlier.cache_evictions,
-            pages_pruned: self.pages_pruned - earlier.pages_pruned,
-            snapshots_pruned: self.snapshots_pruned - earlier.snapshots_pruned,
-            sidecar_bytes: self.sidecar_bytes - earlier.sidecar_bytes,
-        }
-    }
-
-    /// Component-wise sum: merge another interval into this one.
-    pub fn accumulate(&mut self, other: &IoStatsSnapshot) {
-        self.db_reads += other.db_reads;
-        self.cache_hits += other.cache_hits;
-        self.pagelog_reads += other.pagelog_reads;
-        self.cow_captures += other.cow_captures;
-        self.pages_written += other.pages_written;
-        self.maplog_entries_scanned += other.maplog_entries_scanned;
-        self.cache_evictions += other.cache_evictions;
-        self.pages_pruned += other.pages_pruned;
-        self.snapshots_pruned += other.snapshots_pruned;
-        self.sidecar_bytes += other.sidecar_bytes;
-    }
-
     /// Total page fetches from any source.
     pub fn total_fetches(&self) -> u64 {
         self.db_reads + self.cache_hits + self.pagelog_reads
-    }
-
-    /// Every counter as a stable `(name, value)` list, for metrics
-    /// exporters that render all fields without hand-maintaining the
-    /// schema at each call site. Names are snake_case and match the
-    /// field names.
-    pub fn fields(&self) -> [(&'static str, u64); 10] {
-        [
-            ("db_reads", self.db_reads),
-            ("cache_hits", self.cache_hits),
-            ("pagelog_reads", self.pagelog_reads),
-            ("cow_captures", self.cow_captures),
-            ("pages_written", self.pages_written),
-            ("maplog_entries_scanned", self.maplog_entries_scanned),
-            ("cache_evictions", self.cache_evictions),
-            ("pages_pruned", self.pages_pruned),
-            ("snapshots_pruned", self.snapshots_pruned),
-            ("sidecar_bytes", self.sidecar_bytes),
-        ]
     }
 }
 

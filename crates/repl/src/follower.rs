@@ -326,18 +326,14 @@ fn session(shared: &Arc<FollowerShared>) -> Result<()> {
             }
         };
         match frame {
-            Frame::Segment { .. } => {
+            Frame::Segment { origin, .. } => {
                 let wire = frame.wire_size();
-                let origin = frame.origin();
                 let seg = frame.into_segment()?;
                 {
                     // The apply span's arg is the originating txn id —
                     // the same value as the leader's `commit` span arg —
                     // so stitch_trace.py can draw the causal link.
-                    let _apply = rql_trace::span_arg(
-                        rql_trace::SpanId::ReplApply,
-                        origin.map_or(seg.txn_id, |o| o.span_id),
-                    );
+                    let _apply = rql_trace::span_arg(rql_trace::SpanId::ReplApply, origin.span_id);
                     let declared = store
                         .apply_replicated(&seg)
                         .map_err(|e| ReplError::Diverged(e.to_string()))?;
@@ -345,12 +341,10 @@ fn session(shared: &Arc<FollowerShared>) -> Result<()> {
                         store.flush()?;
                     }
                 }
-                if let Some(o) = origin {
-                    shared.metrics.lag_micros.store(
-                        rql_trace::unix_micros().saturating_sub(o.wall_micros),
-                        Ordering::Relaxed,
-                    );
-                }
+                shared.metrics.lag_micros.store(
+                    rql_trace::unix_micros().saturating_sub(origin.wall_micros),
+                    Ordering::Relaxed,
+                );
                 shared
                     .metrics
                     .segments_applied

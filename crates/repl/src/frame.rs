@@ -18,8 +18,9 @@ use rql_pagestore::{fnv1a, CommittedSegment, Page, PageId};
 use crate::{ReplError, Result};
 
 /// Protocol version carried in [`Frame::Hello`]; bumped on any wire
-/// change.
-pub const PROTO_VERSION: u32 = 1;
+/// change, so a mixed cluster refuses at the greeting. Version 2 made
+/// [`CommitOrigin`] a required field of SEGMENT and SPT.
+pub const PROTO_VERSION: u32 = 2;
 
 /// Upper bound on a single frame body. A segment frame carries one whole
 /// committed transaction, so this is generous; anything larger indicates
@@ -36,14 +37,12 @@ pub mod log_id {
     pub const MAPLOG: u8 = 2;
 }
 
-/// Optional provenance trailer on [`Frame::Segment`] and [`Frame::Spt`]:
-/// which leader commit produced the data and when, for cross-node trace
+/// Provenance of every [`Frame::Segment`] and [`Frame::Spt`]: which
+/// leader commit produced the data and when, for cross-node trace
 /// stitching and time-lag measurement.
 ///
-/// Encoded as 16 trailing payload bytes (`[u64 span_id][u64 wall_micros]`,
-/// little-endian). Decoders treat the trailer as optional, so a new
-/// follower accepts frames from an old leader; upgrade followers before
-/// leaders when rolling a cluster forward.
+/// Encoded as the last 16 payload bytes (`[u64 span_id][u64
+/// wall_micros]`, little-endian).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitOrigin {
     /// The leader's commit span identifier: the committing transaction
@@ -117,9 +116,8 @@ pub enum Frame {
         snapshot: Option<u64>,
         /// Page after-images in log order.
         pages: Vec<(u64, Vec<u8>)>,
-        /// Originating-commit trailer (absent on frames from leaders
-        /// that predate it).
-        origin: Option<CommitOrigin>,
+        /// The leader commit that produced the segment.
+        origin: CommitOrigin,
     },
     /// Post-declaration verification: the follower must agree on the
     /// snapshot's page count before acking further work.
@@ -128,9 +126,8 @@ pub enum Frame {
         snapshot_id: u64,
         /// Universe size the SPT covers on the leader.
         page_count: u64,
-        /// Originating-commit trailer (absent on frames from leaders
-        /// that predate it).
-        origin: Option<CommitOrigin>,
+        /// The leader commit that declared the snapshot.
+        origin: CommitOrigin,
     },
     /// Leader → follower liveness + lag reference when no commits flow.
     Heartbeat {
@@ -156,11 +153,9 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_origin(buf: &mut Vec<u8>, origin: &Option<CommitOrigin>) {
-    if let Some(o) = origin {
-        put_u64(buf, o.span_id);
-        put_u64(buf, o.wall_micros);
-    }
+fn put_origin(buf: &mut Vec<u8>, origin: &CommitOrigin) {
+    put_u64(buf, origin.span_id);
+    put_u64(buf, origin.wall_micros);
 }
 
 struct Cursor<'a> {
@@ -190,17 +185,21 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read an optional [`CommitOrigin`] trailer: consumes the final 16
-    /// bytes when present, returns `None` on frames from peers that
-    /// predate it.
-    fn maybe_origin(&mut self) -> Result<Option<CommitOrigin>> {
-        if self.buf.len() - self.pos < 16 {
-            return Ok(None);
+    /// Read a `u32` element count, rejecting counts the rest of the
+    /// payload cannot hold at `min_size` bytes per element.
+    fn count(&mut self, min_size: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_size) > self.buf.len() - self.pos {
+            return Err(ReplError::Protocol("truncated frame payload".into()));
         }
-        Ok(Some(CommitOrigin {
+        Ok(n)
+    }
+
+    fn origin(&mut self) -> Result<CommitOrigin> {
+        Ok(CommitOrigin {
             span_id: self.u64()?,
             wall_micros: self.u64()?,
-        }))
+        })
     }
 
     fn done(&self) -> Result<()> {
@@ -337,7 +336,8 @@ impl Frame {
                 let txn_id = c.u64()?;
                 let has_snap = c.u8()? == 1;
                 let sid = c.u64()?;
-                let n = c.u32()? as usize;
+                // Each page is at least its id and length.
+                let n = c.count(8 + 4)?;
                 let mut pages = Vec::with_capacity(n);
                 for _ in 0..n {
                     let pid = c.u64()?;
@@ -350,13 +350,13 @@ impl Frame {
                     txn_id,
                     snapshot: has_snap.then_some(sid),
                     pages,
-                    origin: c.maybe_origin()?,
+                    origin: c.origin()?,
                 }
             }
             op::SPT => Frame::Spt {
                 snapshot_id: c.u64()?,
                 page_count: c.u64()?,
-                origin: c.maybe_origin()?,
+                origin: c.origin()?,
             },
             op::HEARTBEAT => Frame::Heartbeat {
                 wal_len: c.u64()?,
@@ -383,8 +383,8 @@ impl Frame {
     }
 
     /// Build a segment frame from a parsed WAL segment, stamped with
-    /// its originating-commit trailer.
-    pub fn from_segment(seg: &CommittedSegment, origin: Option<CommitOrigin>) -> Frame {
+    /// its originating commit.
+    pub fn from_segment(seg: &CommittedSegment, origin: CommitOrigin) -> Frame {
         Frame::Segment {
             start: seg.start,
             end: seg.end,
@@ -396,14 +396,6 @@ impl Frame {
                 .map(|(pid, page)| (pid.0, page.bytes().to_vec()))
                 .collect(),
             origin,
-        }
-    }
-
-    /// The originating-commit trailer, when this frame carries one.
-    pub fn origin(&self) -> Option<CommitOrigin> {
-        match self {
-            Frame::Segment { origin, .. } | Frame::Spt { origin, .. } => *origin,
-            _ => None,
         }
     }
 
@@ -473,6 +465,11 @@ mod tests {
 
     use super::*;
 
+    const ORIGIN: CommitOrigin = CommitOrigin {
+        span_id: 9,
+        wall_micros: 42,
+    };
+
     fn roundtrip(frame: Frame) {
         let mut buf = Vec::new();
         write_frame(&mut buf, &frame).unwrap();
@@ -507,10 +504,10 @@ mod tests {
             txn_id: 7,
             snapshot: Some(3),
             pages: vec![(0, vec![0u8; 64]), (5, vec![9u8; 64])],
-            origin: Some(CommitOrigin {
+            origin: CommitOrigin {
                 span_id: 7,
                 wall_micros: 1_723_000_000_000_000,
-            }),
+            },
         });
         roundtrip(Frame::Segment {
             start: 0,
@@ -518,20 +515,12 @@ mod tests {
             txn_id: 1,
             snapshot: None,
             pages: vec![],
-            origin: None,
+            origin: ORIGIN,
         });
         roundtrip(Frame::Spt {
             snapshot_id: 3,
             page_count: 40,
-            origin: Some(CommitOrigin {
-                span_id: 9,
-                wall_micros: 42,
-            }),
-        });
-        roundtrip(Frame::Spt {
-            snapshot_id: 3,
-            page_count: 40,
-            origin: None,
+            origin: ORIGIN,
         });
         roundtrip(Frame::Heartbeat {
             wal_len: 5,
@@ -581,20 +570,28 @@ mod tests {
             txn_id: 9,
             snapshot: Some(2),
             pages: vec![(3, vec![7u8; 64])],
-            origin: None,
+            origin: ORIGIN,
         };
         let seg = frame.clone().into_segment().unwrap();
         assert_eq!(seg.txn_id, 9);
         assert_eq!(seg.snapshot, Some(2));
         assert_eq!(seg.pages.len(), 1);
         assert_eq!(seg.pages[0].0 .0, 3);
-        assert_eq!(Frame::from_segment(&seg, None), frame);
+        assert_eq!(Frame::from_segment(&seg, ORIGIN), frame);
     }
 
     #[test]
-    fn pre_trailer_segment_and_spt_payloads_still_decode() {
-        // A v0 peer encodes Segment/Spt without the 16-byte origin
-        // trailer; decoding must yield `origin: None`, not an error.
+    fn huge_page_count_without_body_is_rejected() {
+        let mut payload = vec![0u8; 8 * 3 + 1 + 8];
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Frame::parse(op::SEGMENT, &payload),
+            Err(ReplError::Protocol(_))
+        ));
+    }
+
+    #[test]
+    fn segment_and_spt_require_their_origin() {
         for frame in [
             Frame::Segment {
                 start: 10,
@@ -602,43 +599,20 @@ mod tests {
                 txn_id: 7,
                 snapshot: Some(3),
                 pages: vec![(0, vec![0u8; 64])],
-                origin: Some(CommitOrigin {
-                    span_id: 7,
-                    wall_micros: 55,
-                }),
+                origin: ORIGIN,
             },
             Frame::Spt {
                 snapshot_id: 3,
                 page_count: 40,
-                origin: Some(CommitOrigin {
-                    span_id: 7,
-                    wall_micros: 55,
-                }),
+                origin: ORIGIN,
             },
         ] {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, &frame).unwrap();
-            // Rebuild the frame body without the last 16 payload bytes,
-            // fixing up the length prefix and checksum — byte-identical
-            // to what a pre-trailer peer writes.
-            let body_len = u32::from_be_bytes(buf[0..4].try_into().unwrap()) as usize;
-            let head = &buf[4..4 + body_len - 8]; // op + payload
-            let stripped_head = &head[..head.len() - 16];
-            let mut legacy = Vec::new();
-            legacy.extend_from_slice(&((stripped_head.len() + 8) as u32).to_be_bytes());
-            legacy.extend_from_slice(stripped_head);
-            legacy.extend_from_slice(&rql_pagestore::fnv1a(stripped_head).to_le_bytes());
-            let got = read_frame(&mut legacy.as_slice()).unwrap();
-            assert_eq!(got.origin(), None);
-            match (&frame, &got) {
-                (Frame::Segment { txn_id: a, .. }, Frame::Segment { txn_id: b, .. }) => {
-                    assert_eq!(a, b);
-                }
-                (Frame::Spt { snapshot_id: a, .. }, Frame::Spt { snapshot_id: b, .. }) => {
-                    assert_eq!(a, b);
-                }
-                other => panic!("frame kind changed: {other:?}"),
-            }
+            let payload = frame.payload();
+            let short = &payload[..payload.len() - 16];
+            assert!(matches!(
+                Frame::parse(frame.op(), short),
+                Err(ReplError::Protocol(_))
+            ));
         }
     }
 }

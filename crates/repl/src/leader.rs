@@ -420,14 +420,14 @@ fn stream_segments(
                 if conn.dead.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst) {
                     return Ok(());
                 }
-                // The origin trailer ties this frame to the commit that
-                // produced it: span_id is the txn id (the leader's
-                // `commit` span arg), wall_micros the ship-time clock
-                // followers subtract from to compute time lag.
-                let origin = Some(crate::frame::CommitOrigin {
+                // The origin ties this frame to the commit that produced
+                // it: span_id is the txn id (the leader's `commit` span
+                // arg), wall_micros the ship-time clock followers
+                // subtract from to compute time lag.
+                let origin = crate::frame::CommitOrigin {
                     span_id: seg.txn_id,
                     wall_micros: rql_trace::unix_micros(),
-                });
+                };
                 let ship = rql_trace::span_arg(rql_trace::SpanId::ReplShip, seg.txn_id);
                 let frame = Frame::from_segment(&seg, origin);
                 let size = frame.wire_size();

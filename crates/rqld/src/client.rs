@@ -9,8 +9,8 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
-    read_frame, write_frame, ProtoError, Request, Response, WireDelta, WireDiagnostic, WireProfile,
-    WireResult,
+    read_frame, write_frame, ProtoError, Request, RequestOptions, Response, WireDelta,
+    WireDiagnostic, WireProfile, WireResult,
 };
 
 /// One event on a subscribed connection (see [`Client::subscribe`]).
@@ -123,16 +123,57 @@ impl Client {
         Ok(Response::decode(opcode, &payload)?)
     }
 
+    /// One request-response exchange: an `ERROR` frame becomes
+    /// [`ClientError::Server`]; `pick` accepts the expected reply.
+    fn call<T>(
+        &mut self,
+        request: &Request,
+        expected: &'static str,
+        pick: impl FnOnce(Response) -> Option<T>,
+    ) -> Result<T> {
+        match self.round_trip(request)? {
+            Response::Error { code, message } => Err(ClientError::Server { code, message }),
+            other => pick(other).ok_or(ClientError::Unexpected(expected)),
+        }
+    }
+
+    fn text(&mut self, request: &Request) -> Result<String> {
+        self.call(request, "expected TEXT", |r| match r {
+            Response::Text(text) => Some(text),
+            _ => None,
+        })
+    }
+
+    fn ok(&mut self, request: &Request) -> Result<()> {
+        self.call(request, "expected OK", |r| {
+            matches!(r, Response::Ok).then_some(())
+        })
+    }
+
+    fn result(&mut self, request: &Request) -> Result<WireResult> {
+        self.call(request, "expected RESULT", |r| match r {
+            Response::Result(result) => Some(result),
+            _ => None,
+        })
+    }
+
+    fn options(&self, no_memo: bool) -> RequestOptions {
+        RequestOptions {
+            no_memo,
+            trace: self.trace_id,
+        }
+    }
+
     /// Lint a program server-side; returns diagnostics, executes nothing.
     pub fn prepare(&mut self, program: &str) -> Result<Vec<WireDiagnostic>> {
-        match self.round_trip(&Request::Prepare {
+        let request = Request::Prepare {
             program: program.into(),
-            trace: self.trace_id,
-        })? {
-            Response::Diagnostics { diagnostics } => Ok(diagnostics),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected DIAGNOSTICS")),
-        }
+            options: self.options(false),
+        };
+        self.call(&request, "expected DIAGNOSTICS", |r| match r {
+            Response::Diagnostics { diagnostics } => Some(diagnostics),
+            _ => None,
+        })
     }
 
     /// Execute a program; returns result tables, reports and snapshots.
@@ -144,99 +185,65 @@ impl Client {
     /// asks the server to bypass its shared memo store for this program
     /// (the `--no-memo` ablation switch).
     pub fn run_opts(&mut self, program: &str, no_memo: bool) -> Result<WireResult> {
-        match self.round_trip(&Request::Run {
+        self.result(&Request::Run {
             program: program.into(),
-            no_memo,
-            trace: self.trace_id,
-        })? {
-            Response::Result(result) => Ok(result),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected RESULT")),
-        }
+            options: self.options(no_memo),
+        })
     }
 
     /// Execute a program and ask for the per-snapshot cost profile along
     /// with the results (the wire form of `rql --profile`).
     pub fn profile(&mut self, program: &str, no_memo: bool) -> Result<WireProfile> {
-        match self.round_trip(&Request::Profile {
+        let request = Request::Profile {
             program: program.into(),
-            no_memo,
-            trace: self.trace_id,
-        })? {
-            Response::Profile(profile) => Ok(profile),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected PROFILE")),
-        }
+            options: self.options(no_memo),
+        };
+        self.call(&request, "expected PROFILE", |r| match r {
+            Response::Profile(profile) => Some(profile),
+            _ => None,
+        })
     }
 
     /// Cancel another session's in-flight query by its `HELLO` id.
     pub fn cancel(&mut self, session: u64) -> Result<()> {
-        match self.round_trip(&Request::Cancel { session })? {
-            Response::Ok => Ok(()),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected OK")),
-        }
+        self.ok(&Request::Cancel { session })
     }
 
     /// One-line server status.
     pub fn status(&mut self) -> Result<String> {
-        match self.round_trip(&Request::Status { flight: false })? {
-            Response::Text(text) => Ok(text),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected TEXT")),
-        }
+        self.text(&Request::Status { flight: false })
     }
 
     /// Status plus the server's flight-recorder dump (live ring and the
     /// dump frozen at the last failed job, if any).
     pub fn status_flight(&mut self) -> Result<String> {
-        match self.round_trip(&Request::Status { flight: true })? {
-            Response::Text(text) => Ok(text),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected TEXT")),
-        }
+        self.text(&Request::Status { flight: true })
     }
 
     /// Metrics snapshot, human (`json = false`) or JSON.
     pub fn metrics(&mut self, json: bool) -> Result<String> {
-        match self.round_trip(&Request::Metrics { json })? {
-            Response::Text(text) => Ok(text),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected TEXT")),
-        }
+        self.text(&Request::Metrics { json })
     }
 
     /// Replication status snapshot, human (`json = false`) or JSON: the
     /// server's role, phase, lag gauges and shipping/applying counters.
     pub fn replstatus(&mut self, json: bool) -> Result<String> {
-        match self.round_trip(&Request::ReplStatus { json })? {
-            Response::Text(text) => Ok(text),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected TEXT")),
-        }
+        self.text(&Request::ReplStatus { json })
     }
 
     /// Register a standing query (`MAINTAIN QUERY name AS …`). Returns
     /// the server's confirmation line
     /// (`registered name=… table=… snapshots_seeded=…`).
     pub fn register(&mut self, statement: &str) -> Result<String> {
-        match self.round_trip(&Request::Register {
+        self.text(&Request::Register {
             statement: statement.into(),
-        })? {
-            Response::Text(text) => Ok(text),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected TEXT")),
-        }
+        })
     }
 
     /// Unregister a standing query by name. Its subscribers get a
     /// terminal `END` frame; the maintained table is left in place.
     pub fn unregister(&mut self, name: &str) -> Result<()> {
-        match self.round_trip(&Request::Unregister { name: name.into() })? {
-            Response::Ok => Ok(()),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected OK")),
-        }
+        self.ok(&Request::Unregister { name: name.into() })
     }
 
     /// Subscribe to a standing query. Returns the opening `RESULT` frame
@@ -244,11 +251,7 @@ impl Client {
     /// connection is then in push mode — call [`Client::next_event`]
     /// until it yields [`SubscriptionEvent::End`].
     pub fn subscribe(&mut self, name: &str) -> Result<WireResult> {
-        match self.round_trip(&Request::Subscribe { name: name.into() })? {
-            Response::Result(result) => Ok(result),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected RESULT")),
-        }
+        self.result(&Request::Subscribe { name: name.into() })
     }
 
     /// Block for the next pushed frame on a subscribed connection.
@@ -263,10 +266,6 @@ impl Client {
 
     /// Ask the server to drain and stop.
     pub fn shutdown(&mut self) -> Result<()> {
-        match self.round_trip(&Request::Shutdown)? {
-            Response::Ok => Ok(()),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("expected OK")),
-        }
+        self.ok(&Request::Shutdown)
     }
 }

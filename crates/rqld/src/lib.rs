@@ -32,10 +32,10 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientError, SubscriptionEvent};
-pub use metrics::{LatencyHistogram, Metrics, StandingSnapshot};
+pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot, Readings, StandingSnapshot};
 pub use pool::{ServerSession, SharedStack, SnapEntry};
 pub use protocol::{
-    Request, Response, WireDelta, WireDiagnostic, WireFix, WireReport, WireResult, WireTable,
-    MAX_FRAME,
+    Request, RequestOptions, Response, WireDelta, WireDiagnostic, WireFix, WireReport, WireResult,
+    WireTable, MAX_FRAME,
 };
 pub use server::{error_code, serve, ServerConfig, ServerHandle, ADMISSION_CODE};

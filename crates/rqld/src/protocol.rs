@@ -1,4 +1,4 @@
-//! The `rqld` wire protocol (v0, AUTH-less).
+//! The `rqld` wire protocol (AUTH-less).
 //!
 //! Every frame is `[u32 length (BE)] [u8 opcode] [payload]`, where
 //! `length` counts the opcode byte plus the payload. The server greets
@@ -11,6 +11,12 @@
 //! (0 = Null, 1 = Integer, 2 = Real, 3 = Text); options are a `u8`
 //! presence flag. No external serialization crates — the workspace
 //! builds offline.
+//!
+//! Decoding is strict, and that is the versioning rule: every flag byte
+//! rejects unknown bits, every count must fit the bytes that follow it,
+//! and a payload must end exactly where its last field does. A new
+//! option takes a new bit in a [`RequestOptions`] block, so an older
+//! server refuses the frame loudly instead of silently ignoring it.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -33,6 +39,10 @@ pub enum ProtoError {
     BadUtf8,
     /// Declared frame length exceeds [`MAX_FRAME`] (or is zero).
     BadLength(u32),
+    /// A flag byte set a bit this build does not know.
+    BadFlags(u8),
+    /// Bytes remained after the last field of the payload.
+    Trailing(usize),
 }
 
 impl fmt::Display for ProtoError {
@@ -43,6 +53,8 @@ impl fmt::Display for ProtoError {
             ProtoError::BadTag(t) => write!(f, "unknown tag {t:#04x}"),
             ProtoError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
             ProtoError::BadLength(n) => write!(f, "bad frame length {n}"),
+            ProtoError::BadFlags(b) => write!(f, "unknown flag bits {b:#04x}"),
+            ProtoError::Trailing(n) => write!(f, "{n} trailing bytes after payload"),
         }
     }
 }
@@ -180,10 +192,14 @@ impl PayloadWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Append a raw 16-byte trace id (no length prefix — it rides as a
-    /// fixed-size trailer).
+    /// Append a raw 16-byte trace id (fixed size, no length prefix).
     pub fn put_trace16(&mut self, id: &[u8; 16]) {
         self.buf.extend_from_slice(id);
+    }
+
+    /// Append a `u32` element count.
+    pub fn put_len(&mut self, n: usize) {
+        self.put_u32(n as u32);
     }
 
     /// Append a tagged [`Value`].
@@ -233,6 +249,39 @@ impl<'a> PayloadReader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Read a flag byte, rejecting any bit outside `known`.
+    pub fn get_flags(&mut self, known: u8) -> Result<u8> {
+        let b = self.get_u8()?;
+        if b & !known != 0 {
+            return Err(ProtoError::BadFlags(b));
+        }
+        Ok(b)
+    }
+
+    /// Read a boolean byte (0 or 1).
+    pub fn get_bool(&mut self) -> Result<bool> {
+        Ok(self.get_flags(1)? == 1)
+    }
+
+    /// Read a `u32` element count, rejecting counts the rest of the
+    /// payload cannot hold at `min_size` bytes per element — so a
+    /// hostile count can never size an allocation past the frame.
+    pub fn get_len(&mut self, min_size: usize) -> Result<usize> {
+        let n = self.get_u32()? as usize;
+        if n.saturating_mul(min_size) > self.buf.len() - self.pos {
+            return Err(ProtoError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// Succeed only when every payload byte has been read.
+    pub fn finish(&self) -> Result<()> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(ProtoError::Trailing(n)),
+        }
+    }
+
     /// Read a big-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32> {
         let b = self.take(4)?;
@@ -254,13 +303,11 @@ impl<'a> PayloadReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadUtf8)
     }
 
-    /// Read an optional 16-byte trace-id trailer: `Some` when exactly a
-    /// trace id remains, `None` for frames from clients that omit it.
-    pub fn get_trace16(&mut self) -> Option<[u8; 16]> {
-        let bytes = self.take(16).ok()?;
+    /// Read a raw 16-byte trace id.
+    pub fn get_trace16(&mut self) -> Result<[u8; 16]> {
         let mut id = [0u8; 16];
-        id.copy_from_slice(bytes);
-        Some(id)
+        id.copy_from_slice(self.take(16)?);
+        Ok(id)
     }
 
     /// Read a tagged [`Value`].
@@ -277,6 +324,50 @@ impl<'a> PayloadReader<'a> {
 
 // ---- requests --------------------------------------------------------
 
+/// Bits of the [`RequestOptions`] flag byte.
+mod option {
+    /// Skip the server's shared memo store.
+    pub const NO_MEMO: u8 = 1;
+    /// A 16-byte trace id follows the flag byte.
+    pub const TRACE: u8 = 2;
+}
+
+/// The options block ending every PREPARE, RUN and PROFILE request:
+/// one flag byte (bit 0 `no_memo`, bit 1 "trace id follows"), then the
+/// 16-byte trace id when bit 1 is set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RequestOptions {
+    /// Skip the server's shared memo store for this request (the
+    /// `--no-memo` ablation switch; PREPARE ignores it).
+    pub no_memo: bool,
+    /// Client-generated trace id (`rql --trace-id`), recorded into the
+    /// server's trace ring for cross-node stitching.
+    pub trace: Option<[u8; 16]>,
+}
+
+impl RequestOptions {
+    fn encode(&self, w: &mut PayloadWriter) {
+        let no_memo = u8::from(self.no_memo) * option::NO_MEMO;
+        let trace = u8::from(self.trace.is_some()) * option::TRACE;
+        w.put_u8(no_memo | trace);
+        if let Some(id) = &self.trace {
+            w.put_trace16(id);
+        }
+    }
+
+    fn decode(r: &mut PayloadReader<'_>) -> Result<RequestOptions> {
+        let flags = r.get_flags(option::NO_MEMO | option::TRACE)?;
+        Ok(RequestOptions {
+            no_memo: flags & option::NO_MEMO != 0,
+            trace: if flags & option::TRACE != 0 {
+                Some(r.get_trace16()?)
+            } else {
+                None
+            },
+        })
+    }
+}
+
 /// A decoded client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -284,23 +375,15 @@ pub enum Request {
     Prepare {
         /// The `.rql` program text.
         program: String,
-        /// Client-generated 16-byte trace id (`rql --trace-id`),
-        /// recorded into the server's trace ring for cross-node
-        /// stitching. Encoded as an optional 16-byte trailer, so older
-        /// clients decode as `None`.
-        trace: Option<[u8; 16]>,
+        /// The request's options block.
+        options: RequestOptions,
     },
     /// Execute a program.
     Run {
         /// The `.rql` program text.
         program: String,
-        /// Skip the server's shared memo store for this request (the
-        /// `--no-memo` ablation switch). Encoded as an optional trailing
-        /// byte, so v0 clients that omit it decode as `false`.
-        no_memo: bool,
-        /// Optional 16-byte trace-id trailer (after the `no_memo` byte),
-        /// as on [`Request::Prepare`].
-        trace: Option<[u8; 16]>,
+        /// The request's options block.
+        options: RequestOptions,
     },
     /// Cancel the in-flight query of session `session`.
     Cancel {
@@ -309,8 +392,7 @@ pub enum Request {
     },
     /// One-line server status.
     Status {
-        /// Append a flight-recorder dump to the status line. Encoded as
-        /// an optional trailing byte, so v0 clients decode as `false`.
+        /// Append a flight-recorder dump to the status line.
         flight: bool,
     },
     /// Metrics snapshot.
@@ -324,10 +406,8 @@ pub enum Request {
     Profile {
         /// The `.rql` program text.
         program: String,
-        /// Skip the server's shared memo store (as in [`Request::Run`]).
-        no_memo: bool,
-        /// Optional 16-byte trace-id trailer (as in [`Request::Run`]).
-        trace: Option<[u8; 16]>,
+        /// The request's options block.
+        options: RequestOptions,
     },
     /// Register a standing query.
     Register {
@@ -355,136 +435,100 @@ impl Request {
     /// Encode to `(opcode, payload)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut w = PayloadWriter::new();
-        match self {
-            Request::Prepare { program, trace } => {
+        let opcode = match self {
+            Request::Prepare { program, options } => {
                 w.put_str(program);
-                if let Some(id) = trace {
-                    w.put_trace16(id);
-                }
-                (op::PREPARE, w.into_bytes())
+                options.encode(&mut w);
+                op::PREPARE
             }
-            Request::Run {
-                program,
-                no_memo,
-                trace,
-            } => {
+            Request::Run { program, options } => {
                 w.put_str(program);
-                w.put_u8(u8::from(*no_memo));
-                if let Some(id) = trace {
-                    w.put_trace16(id);
-                }
-                (op::RUN, w.into_bytes())
+                options.encode(&mut w);
+                op::RUN
+            }
+            Request::Profile { program, options } => {
+                w.put_str(program);
+                options.encode(&mut w);
+                op::PROFILE
             }
             Request::Cancel { session } => {
                 w.put_u64(*session);
-                (op::CANCEL, w.into_bytes())
+                op::CANCEL
             }
             Request::Status { flight } => {
-                // The flag is only written when set, keeping the plain
-                // STATUS frame byte-identical to v0.
-                if *flight {
-                    w.put_u8(1);
-                }
-                (op::STATUS, w.into_bytes())
+                w.put_u8(u8::from(*flight));
+                op::STATUS
             }
             Request::Metrics { json } => {
                 w.put_u8(u8::from(*json));
-                (op::METRICS, w.into_bytes())
-            }
-            Request::Shutdown => (op::SHUTDOWN, Vec::new()),
-            Request::Profile {
-                program,
-                no_memo,
-                trace,
-            } => {
-                w.put_str(program);
-                w.put_u8(u8::from(*no_memo));
-                if let Some(id) = trace {
-                    w.put_trace16(id);
-                }
-                (op::PROFILE, w.into_bytes())
-            }
-            Request::Register { statement } => {
-                w.put_str(statement);
-                (op::REGISTER, w.into_bytes())
-            }
-            Request::Unregister { name } => {
-                w.put_str(name);
-                (op::UNREGISTER, w.into_bytes())
-            }
-            Request::Subscribe { name } => {
-                w.put_str(name);
-                (op::SUBSCRIBE, w.into_bytes())
+                op::METRICS
             }
             Request::ReplStatus { json } => {
                 w.put_u8(u8::from(*json));
-                (op::REPLSTATUS, w.into_bytes())
+                op::REPLSTATUS
             }
-        }
+            Request::Shutdown => op::SHUTDOWN,
+            Request::Register { statement } => {
+                w.put_str(statement);
+                op::REGISTER
+            }
+            Request::Unregister { name } => {
+                w.put_str(name);
+                op::UNREGISTER
+            }
+            Request::Subscribe { name } => {
+                w.put_str(name);
+                op::SUBSCRIBE
+            }
+        };
+        (opcode, w.into_bytes())
     }
 
     /// Decode from a received frame.
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Request> {
         let mut r = PayloadReader::new(payload);
-        match opcode {
-            op::PREPARE => {
-                let program = r.get_str()?;
-                let trace = r.get_trace16();
-                Ok(Request::Prepare { program, trace })
-            }
-            op::RUN => {
-                let program = r.get_str()?;
-                // Trailing flag is optional: a frame that ends right
-                // after the program string is an older encoding and
-                // means "use the memo". The trace id, when present,
-                // follows the flag.
-                let no_memo = r.get_u8().is_ok_and(|b| b != 0);
-                let trace = r.get_trace16();
-                Ok(Request::Run {
-                    program,
-                    no_memo,
-                    trace,
-                })
-            }
-            op::CANCEL => Ok(Request::Cancel {
+        let request = match opcode {
+            op::PREPARE => Request::Prepare {
+                program: r.get_str()?,
+                options: RequestOptions::decode(&mut r)?,
+            },
+            op::RUN => Request::Run {
+                program: r.get_str()?,
+                options: RequestOptions::decode(&mut r)?,
+            },
+            op::PROFILE => Request::Profile {
+                program: r.get_str()?,
+                options: RequestOptions::decode(&mut r)?,
+            },
+            op::CANCEL => Request::Cancel {
                 session: r.get_u64()?,
-            }),
-            op::STATUS => Ok(Request::Status {
-                flight: r.get_u8().is_ok_and(|b| b != 0),
-            }),
-            op::METRICS => Ok(Request::Metrics {
-                json: r.get_u8()? != 0,
-            }),
-            op::SHUTDOWN => Ok(Request::Shutdown),
-            op::PROFILE => {
-                let program = r.get_str()?;
-                let no_memo = r.get_u8().is_ok_and(|b| b != 0);
-                let trace = r.get_trace16();
-                Ok(Request::Profile {
-                    program,
-                    no_memo,
-                    trace,
-                })
-            }
-            op::REGISTER => Ok(Request::Register {
+            },
+            op::STATUS => Request::Status {
+                flight: r.get_bool()?,
+            },
+            op::METRICS => Request::Metrics {
+                json: r.get_bool()?,
+            },
+            op::REPLSTATUS => Request::ReplStatus {
+                json: r.get_bool()?,
+            },
+            op::SHUTDOWN => Request::Shutdown,
+            op::REGISTER => Request::Register {
                 statement: r.get_str()?,
-            }),
-            op::UNREGISTER => Ok(Request::Unregister { name: r.get_str()? }),
-            op::SUBSCRIBE => Ok(Request::Subscribe { name: r.get_str()? }),
-            op::REPLSTATUS => Ok(Request::ReplStatus {
-                json: r.get_u8()? != 0,
-            }),
-            t => Err(ProtoError::BadTag(t)),
-        }
+            },
+            op::UNREGISTER => Request::Unregister { name: r.get_str()? },
+            op::SUBSCRIBE => Request::Subscribe { name: r.get_str()? },
+            t => return Err(ProtoError::BadTag(t)),
+        };
+        r.finish()?;
+        Ok(request)
     }
 }
 
 // ---- responses -------------------------------------------------------
 
-/// A structured fix as it travels over the wire. Fixes ride in a
-/// trailer *after* the diagnostics array (see [`Response::encode`]), so
-/// v0 clients — which stop reading at the end of the array — are
-/// oblivious to them, and new clients tolerate their absence.
+/// A structured fix as it travels over the wire, inline with its
+/// diagnostic behind a presence byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireFix {
     /// Byte range in the submitted program to replace.
@@ -509,8 +553,7 @@ pub struct WireDiagnostic {
     pub message: String,
     /// Byte range in the submitted program, when known.
     pub span: Option<(u32, u32)>,
-    /// Structured fix, when the analyzer derived one (wire trailer;
-    /// absent when talking to a v0 peer).
+    /// Structured fix, when the analyzer derived one.
     pub fix: Option<WireFix>,
 }
 
@@ -569,25 +612,47 @@ pub struct WireProfile {
     pub json: String,
 }
 
+/// Smallest encoding of one [`WireReport`]: an empty table name plus
+/// six `u64`s.
+const REPORT_MIN: usize = 4 + 6 * 8;
+
+fn put_rows(w: &mut PayloadWriter, rows: &[Vec<Value>]) {
+    w.put_len(rows.len());
+    for row in rows {
+        w.put_len(row.len());
+        for v in row {
+            w.put_value(v);
+        }
+    }
+}
+
+fn get_rows(r: &mut PayloadReader<'_>) -> Result<Vec<Vec<Value>>> {
+    let nrows = r.get_len(4)?;
+    let mut rows = Vec::with_capacity(nrows);
+    for _ in 0..nrows {
+        let nvals = r.get_len(1)?;
+        let mut row = Vec::with_capacity(nvals);
+        for _ in 0..nvals {
+            row.push(r.get_value()?);
+        }
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
 impl WireResult {
     /// Encode into an existing payload (shared by `RESULT` and
     /// `PROFILE`).
     fn encode_into(&self, w: &mut PayloadWriter) {
-        w.put_u32(self.tables.len() as u32);
+        w.put_len(self.tables.len());
         for t in &self.tables {
-            w.put_u32(t.columns.len() as u32);
+            w.put_len(t.columns.len());
             for c in &t.columns {
                 w.put_str(c);
             }
-            w.put_u32(t.rows.len() as u32);
-            for row in &t.rows {
-                w.put_u32(row.len() as u32);
-                for v in row {
-                    w.put_value(v);
-                }
-            }
+            put_rows(w, &t.rows);
         }
-        w.put_u32(self.reports.len() as u32);
+        w.put_len(self.reports.len());
         for r in &self.reports {
             w.put_str(&r.table);
             w.put_u64(r.iterations);
@@ -597,7 +662,7 @@ impl WireResult {
             w.put_u64(r.pagelog_reads);
             w.put_u64(r.cache_hits);
         }
-        w.put_u32(self.snapshots.len() as u32);
+        w.put_len(self.snapshots.len());
         for s in &self.snapshots {
             w.put_u64(*s);
         }
@@ -606,29 +671,21 @@ impl WireResult {
 
     /// Decode from a payload cursor (shared by `RESULT` and `PROFILE`).
     fn decode_from(r: &mut PayloadReader<'_>) -> Result<WireResult> {
-        let mut res = WireResult::default();
-        let ntables = r.get_u32()?;
+        let ntables = r.get_len(8)?;
+        let mut tables = Vec::with_capacity(ntables);
         for _ in 0..ntables {
-            let ncols = r.get_u32()?;
-            let mut columns = Vec::with_capacity(ncols as usize);
+            let ncols = r.get_len(4)?;
+            let mut columns = Vec::with_capacity(ncols);
             for _ in 0..ncols {
                 columns.push(r.get_str()?);
             }
-            let nrows = r.get_u32()?;
-            let mut rows = Vec::with_capacity(nrows as usize);
-            for _ in 0..nrows {
-                let nvals = r.get_u32()?;
-                let mut row = Vec::with_capacity(nvals as usize);
-                for _ in 0..nvals {
-                    row.push(r.get_value()?);
-                }
-                rows.push(row);
-            }
-            res.tables.push(WireTable { columns, rows });
+            let rows = get_rows(r)?;
+            tables.push(WireTable { columns, rows });
         }
-        let nreports = r.get_u32()?;
+        let nreports = r.get_len(REPORT_MIN)?;
+        let mut reports = Vec::with_capacity(nreports);
         for _ in 0..nreports {
-            res.reports.push(WireReport {
+            reports.push(WireReport {
                 table: r.get_str()?,
                 iterations: r.get_u64()?,
                 qq_rows: r.get_u64()?,
@@ -638,12 +695,17 @@ impl WireResult {
                 cache_hits: r.get_u64()?,
             });
         }
-        let nsnaps = r.get_u32()?;
+        let nsnaps = r.get_len(8)?;
+        let mut snapshots = Vec::with_capacity(nsnaps);
         for _ in 0..nsnaps {
-            res.snapshots.push(r.get_u64()?);
+            snapshots.push(r.get_u64()?);
         }
-        res.elapsed_micros = r.get_u64()?;
-        Ok(res)
+        Ok(WireResult {
+            tables,
+            reports,
+            snapshots,
+            elapsed_micros: r.get_u64()?,
+        })
     }
 }
 
@@ -711,35 +773,23 @@ impl Response {
                 (resp::HELLO, w.into_bytes())
             }
             Response::Diagnostics { diagnostics } => {
-                w.put_u32(diagnostics.len() as u32);
+                w.put_len(diagnostics.len());
                 for d in diagnostics {
                     w.put_str(&d.code);
                     w.put_u8(d.severity);
                     w.put_str(&d.message);
-                    match d.span {
-                        Some((s, e)) => {
-                            w.put_u8(1);
-                            w.put_u32(s);
-                            w.put_u32(e);
-                        }
-                        None => w.put_u8(0),
+                    w.put_u8(u8::from(d.span.is_some()));
+                    if let Some((start, end)) = d.span {
+                        w.put_u32(start);
+                        w.put_u32(end);
                     }
-                }
-                // Backward-compatible trailer: (diag index, fix) pairs.
-                // v0 decoders stop at the end of the array above and
-                // never see these bytes.
-                let fixes: Vec<(u32, &WireFix)> = diagnostics
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, d)| d.fix.as_ref().map(|f| (i as u32, f)))
-                    .collect();
-                w.put_u32(fixes.len() as u32);
-                for (idx, f) in fixes {
-                    w.put_u32(idx);
-                    w.put_u32(f.start);
-                    w.put_u32(f.end);
-                    w.put_u8(f.applicability);
-                    w.put_str(&f.replacement);
+                    w.put_u8(u8::from(d.fix.is_some()));
+                    if let Some(f) = &d.fix {
+                        w.put_u32(f.start);
+                        w.put_u32(f.end);
+                        w.put_u8(f.applicability);
+                        w.put_str(&f.replacement);
+                    }
                 }
                 (resp::DIAGNOSTICS, w.into_bytes())
             }
@@ -766,15 +816,8 @@ impl Response {
             Response::Delta(d) => {
                 w.put_str(&d.name);
                 w.put_u64(d.snap_id);
-                for rows in [&d.added, &d.removed] {
-                    w.put_u32(rows.len() as u32);
-                    for row in rows {
-                        w.put_u32(row.len() as u32);
-                        for v in row {
-                            w.put_value(v);
-                        }
-                    }
-                }
+                put_rows(&mut w, &d.added);
+                put_rows(&mut w, &d.removed);
                 (resp::DELTA, w.into_bytes())
             }
             Response::End { name, reason } => {
@@ -788,101 +831,64 @@ impl Response {
     /// Decode from a received frame.
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Response> {
         let mut r = PayloadReader::new(payload);
-        match opcode {
-            resp::HELLO => Ok(Response::Hello {
+        let response = match opcode {
+            resp::HELLO => Response::Hello {
                 session: r.get_u64()?,
-            }),
+            },
             resp::DIAGNOSTICS => {
-                let n = r.get_u32()?;
-                let mut diagnostics = Vec::with_capacity(n as usize);
+                // code + severity + message + two presence bytes.
+                let n = r.get_len(4 + 1 + 4 + 1 + 1)?;
+                let mut diagnostics = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let code = r.get_str()?;
-                    let severity = r.get_u8()?;
-                    let message = r.get_str()?;
-                    let span = if r.get_u8()? == 1 {
-                        Some((r.get_u32()?, r.get_u32()?))
-                    } else {
-                        None
-                    };
                     diagnostics.push(WireDiagnostic {
-                        code,
-                        severity,
-                        message,
-                        span,
-                        fix: None,
+                        code: r.get_str()?,
+                        severity: r.get_u8()?,
+                        message: r.get_str()?,
+                        span: if r.get_bool()? {
+                            Some((r.get_u32()?, r.get_u32()?))
+                        } else {
+                            None
+                        },
+                        fix: if r.get_bool()? {
+                            Some(WireFix {
+                                start: r.get_u32()?,
+                                end: r.get_u32()?,
+                                applicability: r.get_u8()?,
+                                replacement: r.get_str()?,
+                            })
+                        } else {
+                            None
+                        },
                     });
                 }
-                // Fix trailer (absent from v0 peers: a truncated read
-                // here just leaves every fix as None).
-                if let Ok(fix_count) = r.get_u32() {
-                    for _ in 0..fix_count {
-                        let (Ok(idx), Ok(start), Ok(end), Ok(applicability), Ok(replacement)) = (
-                            r.get_u32(),
-                            r.get_u32(),
-                            r.get_u32(),
-                            r.get_u8(),
-                            r.get_str(),
-                        ) else {
-                            break;
-                        };
-                        if let Some(d) = diagnostics.get_mut(idx as usize) {
-                            d.fix = Some(WireFix {
-                                start,
-                                end,
-                                applicability,
-                                replacement,
-                            });
-                        }
-                    }
-                }
-                Ok(Response::Diagnostics { diagnostics })
+                Response::Diagnostics { diagnostics }
             }
-            resp::RESULT => Ok(Response::Result(WireResult::decode_from(&mut r)?)),
-            resp::PROFILE => {
-                let result = WireResult::decode_from(&mut r)?;
-                let human = r.get_str()?;
-                let json = r.get_str()?;
-                Ok(Response::Profile(WireProfile {
-                    result,
-                    human,
-                    json,
-                }))
-            }
-            resp::ERROR => Ok(Response::Error {
+            resp::RESULT => Response::Result(WireResult::decode_from(&mut r)?),
+            resp::PROFILE => Response::Profile(WireProfile {
+                result: WireResult::decode_from(&mut r)?,
+                human: r.get_str()?,
+                json: r.get_str()?,
+            }),
+            resp::ERROR => Response::Error {
                 code: r.get_str()?,
                 message: r.get_str()?,
+            },
+            resp::TEXT => Response::Text(r.get_str()?),
+            resp::OK => Response::Ok,
+            resp::DELTA => Response::Delta(WireDelta {
+                name: r.get_str()?,
+                snap_id: r.get_u64()?,
+                added: get_rows(&mut r)?,
+                removed: get_rows(&mut r)?,
             }),
-            resp::TEXT => Ok(Response::Text(r.get_str()?)),
-            resp::OK => Ok(Response::Ok),
-            resp::DELTA => {
-                let name = r.get_str()?;
-                let snap_id = r.get_u64()?;
-                let mut lists = [Vec::new(), Vec::new()];
-                for rows in &mut lists {
-                    let nrows = r.get_u32()?;
-                    for _ in 0..nrows {
-                        let nvals = r.get_u32()?;
-                        let mut row = Vec::with_capacity(nvals as usize);
-                        for _ in 0..nvals {
-                            row.push(r.get_value()?);
-                        }
-                        rows.push(row);
-                    }
-                }
-                let [added, removed] = lists;
-                Ok(Response::Delta(WireDelta {
-                    name,
-                    snap_id,
-                    added,
-                    removed,
-                }))
-            }
-            resp::END => Ok(Response::End {
+            resp::END => Response::End {
                 name: r.get_str()?,
                 reason: r.get_str()?,
-            }),
-            t => Err(ProtoError::BadTag(t)),
-        }
+            },
+            t => return Err(ProtoError::BadTag(t)),
+        };
+        r.finish()?;
+        Ok(response)
     }
 }
 
@@ -890,143 +896,67 @@ impl Response {
 mod tests {
     #![allow(clippy::unwrap_used)]
 
+    use proptest::prelude::*;
+
     use super::*;
 
-    fn roundtrip_request(req: Request) {
-        let (opc, payload) = req.encode();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, opc, &payload).unwrap();
-        let (opc2, payload2) = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(opc, opc2);
-        assert_eq!(Request::decode(opc2, &payload2).unwrap(), req);
-    }
-
-    fn roundtrip_response(resp: Response) {
-        let (opc, payload) = resp.encode();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, opc, &payload).unwrap();
-        let (opc2, payload2) = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(Response::decode(opc2, &payload2).unwrap(), resp);
-    }
-
-    #[test]
-    fn requests_roundtrip() {
-        roundtrip_request(Request::Prepare {
-            program: "SELECT 1;".into(),
-            trace: None,
-        });
-        roundtrip_request(Request::Prepare {
-            program: "SELECT 1;".into(),
-            trace: Some([0xAB; 16]),
-        });
-        roundtrip_request(Request::Run {
-            program: "COMMIT WITH SNAPSHOT;".into(),
-            no_memo: false,
-            trace: None,
-        });
-        roundtrip_request(Request::Run {
-            program: "SELECT 1;".into(),
+    /// One valid encoding of every request variant, traced and not.
+    fn all_requests() -> Vec<Request> {
+        let traced = RequestOptions {
             no_memo: true,
             trace: Some([7; 16]),
-        });
-        roundtrip_request(Request::Cancel { session: 42 });
-        roundtrip_request(Request::Status { flight: false });
-        roundtrip_request(Request::Status { flight: true });
-        roundtrip_request(Request::Metrics { json: true });
-        roundtrip_request(Request::Metrics { json: false });
-        roundtrip_request(Request::Shutdown);
-        roundtrip_request(Request::Profile {
-            program: "SELECT 1;".into(),
-            no_memo: true,
-            trace: None,
-        });
-        roundtrip_request(Request::Profile {
-            program: "SELECT 1;".into(),
-            no_memo: false,
-            trace: Some([1; 16]),
-        });
-        roundtrip_request(Request::Register {
-            statement: "MAINTAIN QUERY w AS SELECT CollateData(snap_id, 'SELECT 1', 'T') \
-                        FROM SnapIds"
-                .into(),
-        });
-        roundtrip_request(Request::Unregister { name: "w".into() });
-        roundtrip_request(Request::Subscribe { name: "w".into() });
-        roundtrip_request(Request::ReplStatus { json: true });
-        roundtrip_request(Request::ReplStatus { json: false });
-    }
-
-    #[test]
-    fn plain_status_stays_byte_identical_to_v0() {
-        // `flight: false` must encode to an empty payload — the exact
-        // v0 STATUS frame — and a v0 frame must decode as non-flight.
-        let (opc, payload) = Request::Status { flight: false }.encode();
-        assert_eq!(opc, op::STATUS);
-        assert!(payload.is_empty());
-        assert_eq!(
-            Request::decode(op::STATUS, &[]).unwrap(),
-            Request::Status { flight: false }
-        );
-    }
-
-    #[test]
-    fn v0_diagnostics_payload_without_fix_trailer_decodes() {
-        // A v0 peer's payload ends right after the diagnostics array.
-        let mut w = PayloadWriter::new();
-        w.put_u32(1);
-        w.put_str("RQL001");
-        w.put_u8(2);
-        w.put_str("unknown table t");
-        w.put_u8(0);
-        let decoded = Response::decode(resp::DIAGNOSTICS, &w.into_bytes()).unwrap();
-        let Response::Diagnostics { diagnostics } = decoded else {
-            panic!("wrong variant");
         };
-        assert_eq!(diagnostics.len(), 1);
-        assert_eq!(diagnostics[0].code, "RQL001");
-        assert!(diagnostics[0].fix.is_none());
+        vec![
+            Request::Prepare {
+                program: "SELECT 1;".into(),
+                options: RequestOptions::default(),
+            },
+            Request::Prepare {
+                program: "SELECT 1;".into(),
+                options: RequestOptions {
+                    no_memo: false,
+                    trace: Some([0xAB; 16]),
+                },
+            },
+            Request::Run {
+                program: "COMMIT WITH SNAPSHOT;".into(),
+                options: RequestOptions::default(),
+            },
+            Request::Run {
+                program: "SELECT 1;".into(),
+                options: traced,
+            },
+            Request::Profile {
+                program: "SELECT 1;".into(),
+                options: RequestOptions {
+                    no_memo: true,
+                    trace: None,
+                },
+            },
+            Request::Profile {
+                program: "SELECT 1;".into(),
+                options: traced,
+            },
+            Request::Cancel { session: 42 },
+            Request::Status { flight: false },
+            Request::Status { flight: true },
+            Request::Metrics { json: true },
+            Request::Metrics { json: false },
+            Request::Shutdown,
+            Request::Register {
+                statement: "MAINTAIN QUERY w AS SELECT CollateData(snap_id, 'SELECT 1', 'T') \
+                            FROM SnapIds"
+                    .into(),
+            },
+            Request::Unregister { name: "w".into() },
+            Request::Subscribe { name: "w".into() },
+            Request::ReplStatus { json: true },
+            Request::ReplStatus { json: false },
+        ]
     }
 
-    #[test]
-    fn responses_roundtrip() {
-        roundtrip_response(Response::Hello { session: 7 });
-        roundtrip_response(Response::Ok);
-        roundtrip_response(Response::Text("queue_depth 0".into()));
-        roundtrip_response(Response::Error {
-            code: "RQL300".into(),
-            message: "query cancelled by client".into(),
-        });
-        roundtrip_response(Response::Diagnostics {
-            diagnostics: vec![
-                WireDiagnostic {
-                    code: "RQL001".into(),
-                    severity: 2,
-                    message: "unknown table t".into(),
-                    span: Some((10, 11)),
-                    fix: None,
-                },
-                WireDiagnostic {
-                    code: "RQL210".into(),
-                    severity: 0,
-                    message: "delta eligible".into(),
-                    span: None,
-                    fix: None,
-                },
-                WireDiagnostic {
-                    code: "RQL310".into(),
-                    severity: 1,
-                    message: "result table 'dead' is never read".into(),
-                    span: Some((40, 51)),
-                    fix: Some(WireFix {
-                        start: 28,
-                        end: 99,
-                        applicability: 0,
-                        replacement: String::new(),
-                    }),
-                },
-            ],
-        });
-        roundtrip_response(Response::Result(WireResult {
+    fn result() -> WireResult {
+        WireResult {
             tables: vec![WireTable {
                 columns: vec!["a".into(), "b".into()],
                 rows: vec![
@@ -1045,42 +975,237 @@ mod tests {
             }],
             snapshots: vec![1, 2, 3],
             elapsed_micros: 1234,
-        }));
-        roundtrip_response(Response::Profile(WireProfile {
-            result: WireResult {
-                tables: Vec::new(),
-                reports: vec![WireReport {
-                    table: "r".into(),
-                    iterations: 2,
-                    qq_rows: 8,
-                    pages_skipped_delta: 0,
-                    pages_pruned_filter: 0,
-                    pagelog_reads: 5,
-                    cache_hits: 1,
-                }],
-                snapshots: vec![1, 2],
-                elapsed_micros: 99,
+        }
+    }
+
+    /// One valid encoding of every response variant, including a
+    /// diagnostic that carries a fix.
+    fn all_responses() -> Vec<Response> {
+        vec![
+            Response::Hello { session: 7 },
+            Response::Ok,
+            Response::Text("queue_depth 0".into()),
+            Response::Error {
+                code: "RQL300".into(),
+                message: "query cancelled by client".into(),
             },
-            human: "profile: 1 mechanism call(s)\n".into(),
-            json: "{\"mechanisms\":[]}".into(),
-        }));
-        roundtrip_response(Response::Delta(WireDelta {
-            name: "w".into(),
-            snap_id: 9,
-            added: vec![vec![Value::Integer(1), Value::Text("x".into())]],
-            removed: vec![vec![Value::Null, Value::Real(0.5)], vec![Value::Integer(2)]],
-        }));
-        roundtrip_response(Response::Delta(WireDelta::default()));
-        roundtrip_response(Response::End {
-            name: "w".into(),
-            reason: "drained".into(),
-        });
+            Response::Diagnostics {
+                diagnostics: vec![
+                    WireDiagnostic {
+                        code: "RQL001".into(),
+                        severity: 2,
+                        message: "unknown table t".into(),
+                        span: Some((10, 11)),
+                        fix: None,
+                    },
+                    WireDiagnostic {
+                        code: "RQL210".into(),
+                        severity: 0,
+                        message: "delta eligible".into(),
+                        span: None,
+                        fix: None,
+                    },
+                    WireDiagnostic {
+                        code: "RQL310".into(),
+                        severity: 1,
+                        message: "result table 'dead' is never read".into(),
+                        span: Some((40, 51)),
+                        fix: Some(WireFix {
+                            start: 28,
+                            end: 99,
+                            applicability: 0,
+                            replacement: "x".into(),
+                        }),
+                    },
+                ],
+            },
+            Response::Result(result()),
+            Response::Result(WireResult::default()),
+            Response::Profile(WireProfile {
+                result: result(),
+                human: "profile: 1 mechanism call(s)\n".into(),
+                json: "{\"mechanisms\":[]}".into(),
+            }),
+            Response::Delta(WireDelta {
+                name: "w".into(),
+                snap_id: 9,
+                added: vec![vec![Value::Integer(1), Value::Text("x".into())]],
+                removed: vec![vec![Value::Null, Value::Real(0.5)], vec![Value::Integer(2)]],
+            }),
+            Response::Delta(WireDelta::default()),
+            Response::End {
+                name: "w".into(),
+                reason: "drained".into(),
+            },
+        ]
+    }
+
+    /// Every valid frame as `[opcode] ++ payload`.
+    fn all_frames() -> Vec<Vec<u8>> {
+        let requests = all_requests().into_iter().map(|r| r.encode());
+        let responses = all_responses().into_iter().map(|r| r.encode());
+        requests
+            .chain(responses)
+            .map(|(opcode, payload)| [vec![opcode], payload].concat())
+            .collect()
+    }
+
+    /// Run both decoders over arbitrary bytes; either may fail, neither
+    /// may panic or abort.
+    fn decode_any(frame: &[u8]) {
+        if let Some((&opcode, payload)) = frame.split_first() {
+            let _ = Request::decode(opcode, payload);
+            let _ = Response::decode(opcode, payload);
+        }
+    }
+
+    #[test]
+    fn requests_roundtrip() {
+        for req in all_requests() {
+            let (opc, payload) = req.encode();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, opc, &payload).unwrap();
+            let (opc2, payload2) = read_frame(&mut wire.as_slice()).unwrap();
+            assert_eq!(opc, opc2);
+            assert_eq!(Request::decode(opc2, &payload2).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn responses_roundtrip() {
+        for resp in all_responses() {
+            let (opc, payload) = resp.encode();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, opc, &payload).unwrap();
+            let (opc2, payload2) = read_frame(&mut wire.as_slice()).unwrap();
+            assert_eq!(Response::decode(opc2, &payload2).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn decoding_is_strict() {
+        // Unknown option bits are refused, not ignored.
+        let mut w = PayloadWriter::new();
+        w.put_str("SELECT 1;");
+        w.put_u8(0b100);
+        let bytes = w.into_bytes();
+        for opcode in [op::PREPARE, op::RUN, op::PROFILE] {
+            assert!(matches!(
+                Request::decode(opcode, &bytes),
+                Err(ProtoError::BadFlags(0b100))
+            ));
+        }
+        // The options block is required.
+        let mut w = PayloadWriter::new();
+        w.put_str("SELECT 1;");
+        assert!(matches!(
+            Request::decode(op::RUN, &w.into_bytes()),
+            Err(ProtoError::Truncated)
+        ));
+        // The trace bit promises 16 bytes.
+        let mut w = PayloadWriter::new();
+        w.put_str("SELECT 1;");
+        w.put_u8(option::TRACE);
+        assert!(matches!(
+            Request::decode(op::RUN, &w.into_bytes()),
+            Err(ProtoError::Truncated)
+        ));
+        // STATUS carries its flight byte like METRICS its json byte.
+        assert!(matches!(
+            Request::decode(op::STATUS, &[]),
+            Err(ProtoError::Truncated)
+        ));
+        assert!(matches!(
+            Request::decode(op::METRICS, &[2]),
+            Err(ProtoError::BadFlags(2))
+        ));
+        // Trailing bytes are an error on every frame.
+        for frame in all_frames() {
+            let (opcode, payload) = (frame[0], [&frame[1..], &[0]].concat());
+            let is_request = Request::decode(opcode, &frame[1..]).is_ok();
+            let err = if is_request {
+                Request::decode(opcode, &payload).unwrap_err()
+            } else {
+                Response::decode(opcode, &payload).unwrap_err()
+            };
+            assert!(
+                matches!(err, ProtoError::Trailing(1)),
+                "{opcode:#04x}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_counts_without_body_are_truncated() {
+        let max = u32::MAX.to_be_bytes();
+        let count = |prefix: &[u8]| [prefix, &max].concat();
+        let one = 1u32.to_be_bytes();
+        let zero = 0u32.to_be_bytes();
+        let cases: Vec<(u8, Vec<u8>)> = vec![
+            // RESULT: tables, columns, rows, values, reports, snapshots.
+            (resp::RESULT, count(&[])),
+            (resp::RESULT, count(&one)),
+            (resp::RESULT, count(&[one, zero].concat())),
+            (resp::RESULT, count(&[one, zero, one].concat())),
+            (resp::RESULT, count(&zero)),
+            (resp::RESULT, count(&[zero, zero].concat())),
+            (resp::PROFILE, count(&[])),
+            (resp::PROFILE, count(&zero)),
+            // The 9-byte DIAGNOSTICS frame `00 00 00 05 82 ff ff ff ff`.
+            (resp::DIAGNOSTICS, count(&[])),
+            // DELTA: added rows, removed rows, one row's values.
+            (resp::DELTA, count(&[zero.as_slice(), &[0; 8]].concat())),
+            (
+                resp::DELTA,
+                count(&[zero.as_slice(), &[0; 8], &zero].concat()),
+            ),
+            (
+                resp::DELTA,
+                count(&[zero.as_slice(), &[0; 8], &one].concat()),
+            ),
+        ];
+        for (opcode, payload) in cases {
+            assert!(
+                matches!(
+                    Response::decode(opcode, &payload),
+                    Err(ProtoError::Truncated)
+                ),
+                "{opcode:#04x} {payload:02x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_truncation_decodes_or_errs() {
+        for frame in all_frames() {
+            for end in 0..frame.len() {
+                decode_any(&frame[..end]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn byte_flips_decode_or_err(
+            pick in 0usize..64,
+            flips in proptest::collection::vec((any::<u32>(), 1u8..=255), 1..6),
+        ) {
+            let frames = all_frames();
+            let mut frame = frames[pick % frames.len()].clone();
+            for (pos, mask) in flips {
+                let at = pos as usize % frame.len();
+                frame[at] ^= mask;
+            }
+            decode_any(&frame);
+        }
     }
 
     #[test]
     fn truncated_and_oversized_frames_error() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, op::STATUS, &[]).unwrap();
+        write_frame(&mut wire, op::STATUS, &[0]).unwrap();
         wire.truncate(3);
         assert!(matches!(
             read_frame(&mut wire.as_slice()),
@@ -1098,52 +1223,6 @@ mod tests {
             read_frame(&mut zero.as_slice()),
             Err(ProtoError::BadLength(0))
         ));
-    }
-
-    #[test]
-    fn run_without_trailing_flag_decodes_as_memo_on() {
-        // A v0 RUN frame (program string only, no trailing flag byte)
-        // must still decode, defaulting to the memo-enabled path.
-        let mut w = PayloadWriter::new();
-        w.put_str("SELECT 1;");
-        let decoded = Request::decode(op::RUN, &w.into_bytes()).unwrap();
-        assert_eq!(
-            decoded,
-            Request::Run {
-                program: "SELECT 1;".into(),
-                no_memo: false,
-                trace: None,
-            }
-        );
-    }
-
-    #[test]
-    fn run_with_flag_but_no_trace_decodes_as_untrace() {
-        // A client that writes the no_memo flag but omits the trace-id
-        // trailer (every client before `--trace-id`) decodes as None.
-        let mut w = PayloadWriter::new();
-        w.put_str("SELECT 1;");
-        w.put_u8(1);
-        let decoded = Request::decode(op::RUN, &w.into_bytes()).unwrap();
-        assert_eq!(
-            decoded,
-            Request::Run {
-                program: "SELECT 1;".into(),
-                no_memo: true,
-                trace: None,
-            }
-        );
-        // And a bare PREPARE likewise.
-        let mut w = PayloadWriter::new();
-        w.put_str("SELECT 1;");
-        let decoded = Request::decode(op::PREPARE, &w.into_bytes()).unwrap();
-        assert_eq!(
-            decoded,
-            Request::Prepare {
-                program: "SELECT 1;".into(),
-                trace: None,
-            }
-        );
     }
 
     #[test]

@@ -32,15 +32,15 @@ use rql::{
 };
 use rql_memo::{MemoConfig, MemoStore};
 use rql_pagestore::FileStorage;
-use rql_repl::{FollowerConfig, LeaderConfig, ReplFollower, ReplLeader, ReplMetrics, ReplSnapshot};
+use rql_repl::{FollowerConfig, LeaderConfig, ReplFollower, ReplLeader, ReplMetrics};
 use rql_retro::{RetroConfig, RetroStore};
 use rql_standing::{PushFrame, StandingEngine, Subscription};
 
-use crate::metrics::{Metrics, StandingSnapshot};
+use crate::metrics::{render_replstatus, Metrics, Readings};
 use crate::pool::{ServerSession, SharedStack};
 use crate::protocol::{
-    read_frame, write_frame, Request, Response, WireDelta, WireDiagnostic, WireFix, WireProfile,
-    WireReport, WireResult, WireTable,
+    read_frame, write_frame, Request, RequestOptions, Response, WireDelta, WireDiagnostic, WireFix,
+    WireProfile, WireReport, WireResult, WireTable,
 };
 
 /// Admission / pool sizing knobs.
@@ -181,7 +181,7 @@ impl Inner {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if self.draining() || queue.len() >= self.config.queue_capacity {
                 drop(queue);
-                self.metrics.inc(&self.metrics.admission_rejected);
+                self.metrics.admission_rejected.inc();
                 return None;
             }
             let job = Arc::new(Job {
@@ -196,8 +196,8 @@ impl Inner {
             queue.push_back(Arc::clone(&job));
             job
         };
-        self.metrics.inc(&self.metrics.queries_total);
-        self.metrics.inc(&self.metrics.queue_depth);
+        self.metrics.queries_total.inc();
+        self.metrics.queue_depth.inc();
         rql_trace::instant_arg(rql_trace::SpanId::JobAdmit, job.id);
         self.queue_cv.notify_one();
         Some(job)
@@ -226,11 +226,11 @@ impl Inner {
                         .0;
                 }
             };
-            self.metrics.dec(&self.metrics.queue_depth);
-            self.metrics.inc(&self.metrics.in_flight);
+            self.metrics.queue_depth.dec();
+            self.metrics.in_flight.inc();
             rql_trace::instant_arg(rql_trace::SpanId::JobDequeue, job.id);
             self.run_job(&job);
-            self.metrics.dec(&self.metrics.in_flight);
+            self.metrics.in_flight.dec();
         }
     }
 
@@ -278,33 +278,31 @@ impl Inner {
 
         match &result {
             Ok(run) => {
-                self.metrics.inc(&self.metrics.queries_ok);
+                self.metrics.queries_ok.inc();
                 let rows: u64 = run.tables.iter().map(|t| t.rows.len() as u64).sum();
-                self.metrics.add(&self.metrics.rows_returned, rows);
+                self.metrics.rows_returned.add(rows);
                 for (_, report) in &run.reports {
                     self.metrics
-                        .add(&self.metrics.qq_iterations, report.iteration_count() as u64);
+                        .qq_iterations
+                        .add(report.iteration_count() as u64);
+                    self.metrics.qq_rows.add(report.total_qq_rows());
                     self.metrics
-                        .add(&self.metrics.qq_rows, report.total_qq_rows());
-                    self.metrics.add(
-                        &self.metrics.pages_skipped_delta,
-                        report.accumulated_stats().pages_skipped_delta,
-                    );
-                    self.metrics.add(
-                        &self.metrics.pages_pruned_filter,
-                        report.accumulated_stats().pages_pruned_filter,
-                    );
+                        .pages_skipped_delta
+                        .add(report.accumulated_stats().pages_skipped_delta);
+                    self.metrics
+                        .pages_pruned_filter
+                        .add(report.accumulated_stats().pages_pruned_filter);
                 }
             }
             Err(SqlError::Cancelled(CancelCause::Client)) => {
-                self.metrics.inc(&self.metrics.queries_failed);
-                self.metrics.inc(&self.metrics.queries_cancelled);
+                self.metrics.queries_failed.inc();
+                self.metrics.queries_cancelled.inc();
             }
             Err(SqlError::Cancelled(CancelCause::Timeout)) => {
-                self.metrics.inc(&self.metrics.queries_failed);
-                self.metrics.inc(&self.metrics.queries_timed_out);
+                self.metrics.queries_failed.inc();
+                self.metrics.queries_timed_out.inc();
             }
-            Err(_) => self.metrics.inc(&self.metrics.queries_failed),
+            Err(_) => self.metrics.queries_failed.inc(),
         }
         self.metrics.latency.record(job.admitted.elapsed());
 
@@ -373,20 +371,25 @@ impl Inner {
         let _ = TcpStream::connect(addr);
     }
 
+    /// One reading of every registry, gathered for both the `METRICS`
+    /// verb and the `/metrics` page.
+    fn readings(&self) -> Readings {
+        Readings {
+            server: self.metrics.snapshot(),
+            io: self.stack.store().stats().snapshot(),
+            memo: self.stack.memo_stats(),
+            standing: self.standing.snapshot(),
+            repl: self.repl_metrics.snapshot(),
+        }
+    }
+
     /// The `/metrics` page: every registry the `METRICS` verb renders,
     /// re-expressed in the Prometheus text format (plus the build-info
     /// and uptime gauges the scrape-side convention expects).
     fn render_openmetrics(&self) -> String {
-        let io = self.stack.store().stats().snapshot();
-        let memo = self.stack.memo_stats();
-        let standing = StandingSnapshot::from_statuses(&self.standing.statuses());
-        let repl = self.repl_metrics.snapshot();
         crate::observe::render_openmetrics(
-            &self.metrics,
-            &io,
-            &memo,
-            &standing,
-            &repl,
+            &self.readings(),
+            &self.metrics.latency,
             self.started.elapsed(),
         )
     }
@@ -696,7 +699,7 @@ fn send(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
 fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     rql_trace::instant(rql_trace::SpanId::ConnAccept);
-    inner.metrics.inc(&inner.metrics.connections_total);
+    inner.metrics.connections_total.inc();
     let session = match inner.stack.checkout() {
         Ok(s) => Arc::new(s),
         Err(e) => {
@@ -710,7 +713,7 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
             return;
         }
     };
-    inner.metrics.inc(&inner.metrics.connections_open);
+    inner.metrics.connections_open.inc();
     inner
         .sessions
         .lock()
@@ -724,7 +727,7 @@ fn serve_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .remove(&session.id);
-    inner.metrics.dec(&inner.metrics.connections_open);
+    inner.metrics.connections_open.dec();
     // A dropped connection cancels whatever it had in flight.
     session.session().cancel(CancelCause::Client);
     let _ = result;
@@ -759,58 +762,17 @@ fn connection_loop(
             }
         };
         match request {
-            Request::Prepare { program, trace } => {
-                note_trace(trace);
-                inner.metrics.inc(&inner.metrics.prepares_total);
+            Request::Prepare { program, options } => {
+                note_trace(options.trace);
+                inner.metrics.prepares_total.inc();
                 let diagnostics = prepare(session, &program);
                 send(stream, &Response::Diagnostics { diagnostics })?;
             }
-            Request::Run {
-                program,
-                no_memo,
-                trace,
-            } => {
-                note_trace(trace);
-                let started = Instant::now();
-                let Some(outcome) = submit(inner, stream, session, &program, no_memo)? else {
-                    continue;
-                };
-                match outcome {
-                    Ok(run) => {
-                        let wire = wire_result(&run, started.elapsed());
-                        send(stream, &Response::Result(wire))?;
-                        rql_trace::instant(rql_trace::SpanId::JobReply);
-                    }
-                    Err(e) => send(stream, &standing_error(&e))?,
-                }
+            Request::Run { program, options } => {
+                execute(inner, stream, session, &program, options, false)?;
             }
-            Request::Profile {
-                program,
-                no_memo,
-                trace,
-            } => {
-                note_trace(trace);
-                // Same admission/execution path as RUN; the response adds
-                // the per-snapshot cost breakdown derived from the run's
-                // own reports (so it reconciles with METRICS by
-                // construction).
-                let started = Instant::now();
-                let Some(outcome) = submit(inner, stream, session, &program, no_memo)? else {
-                    continue;
-                };
-                match outcome {
-                    Ok(run) => {
-                        let profile = rql::QueryProfile::from_run(&run);
-                        let wire = WireProfile {
-                            result: wire_result(&run, started.elapsed()),
-                            human: profile.render_human(false),
-                            json: profile.render_json(false),
-                        };
-                        send(stream, &Response::Profile(wire))?;
-                        rql_trace::instant(rql_trace::SpanId::JobReply);
-                    }
-                    Err(e) => send(stream, &standing_error(&e))?,
-                }
+            Request::Profile { program, options } => {
+                execute(inner, stream, session, &program, options, true)?;
             }
             Request::Cancel { session: target } => {
                 let found = inner
@@ -853,16 +815,7 @@ fn connection_loop(
                 send(stream, &Response::Text(text))?;
             }
             Request::Metrics { json } => {
-                let io = inner.stack.store().stats().snapshot();
-                let memo = inner.stack.memo_stats();
-                let standing = StandingSnapshot::from_statuses(&inner.standing.statuses());
-                let repl = inner.repl_metrics.snapshot();
-                let text = if json {
-                    inner.metrics.render_json(&io, &memo, &standing, &repl)
-                } else {
-                    inner.metrics.render_human(&io, &memo, &standing, &repl)
-                };
-                send(stream, &Response::Text(text))?;
+                send(stream, &Response::Text(inner.readings().render(json)))?;
             }
             Request::ReplStatus { json } => {
                 let snap = inner.repl_metrics.snapshot();
@@ -922,6 +875,43 @@ fn connection_loop(
     }
 }
 
+/// Serve one RUN (`profile = false`) or PROFILE request. PROFILE takes
+/// the same admission/execution path; its reply adds the per-snapshot
+/// cost breakdown derived from the run's own reports (so it reconciles
+/// with METRICS by construction).
+fn execute(
+    inner: &Arc<Inner>,
+    stream: &mut TcpStream,
+    session: &Arc<ServerSession>,
+    program: &str,
+    options: RequestOptions,
+    profile: bool,
+) -> io::Result<()> {
+    note_trace(options.trace);
+    let started = Instant::now();
+    let Some(outcome) = submit(inner, stream, session, program, options.no_memo)? else {
+        return Ok(());
+    };
+    let run = match outcome {
+        Ok(run) => run,
+        Err(e) => return send(stream, &standing_error(&e)),
+    };
+    let result = wire_result(&run, started.elapsed());
+    let reply = if profile {
+        let report = rql::QueryProfile::from_run(&run);
+        Response::Profile(WireProfile {
+            result,
+            human: report.render_human(false),
+            json: report.render_json(false),
+        })
+    } else {
+        Response::Result(result)
+    };
+    send(stream, &reply)?;
+    rql_trace::instant(rql_trace::SpanId::JobReply);
+    Ok(())
+}
+
 /// Parse, admit and execute one program, blocking on the job slot.
 /// Returns `Ok(None)` when a parse or admission failure was already
 /// answered on the wire (the caller just continues its loop).
@@ -935,8 +925,8 @@ fn submit(
     let parsed = match parse_program(program) {
         Ok(p) => p,
         Err(d) => {
-            inner.metrics.inc(&inner.metrics.queries_total);
-            inner.metrics.inc(&inner.metrics.queries_failed);
+            inner.metrics.queries_total.inc();
+            inner.metrics.queries_failed.inc();
             send(
                 stream,
                 &Response::Error {
@@ -1009,46 +999,6 @@ fn read_only_error(what: &str) -> Response {
         code: "RQL505".into(),
         message: format!("read-only replica: {what} must go to the leader"),
     }
-}
-
-/// The `REPLSTATUS` reply: the `repl_` metric section on its own, with
-/// the role/phase gauges spelled out in the human form. Field order
-/// follows [`ReplSnapshot::fields`] — wire-stable, grow-at-end only.
-fn render_replstatus(s: &ReplSnapshot, json: bool) -> String {
-    // Derived, not part of the wire-stable integer list: the propagated
-    // commit-timestamp lag as a float in seconds, so `rql replstatus
-    // --json | jq .lag_seconds` needs no unit conversion.
-    let lag_seconds = s.lag_micros as f64 / 1e6;
-    if json {
-        let mut parts: Vec<String> = s
-            .fields()
-            .into_iter()
-            .map(|(name, value)| format!("\"{name}\":{value}"))
-            .collect();
-        parts.push(format!("\"lag_seconds\":{lag_seconds:.6}"));
-        return format!("{{{}}}", parts.join(","));
-    }
-    let mut out = String::new();
-    for (name, value) in s.fields() {
-        let word = match (name, value) {
-            ("role", rql_repl::role::NONE) => Some("none"),
-            ("role", rql_repl::role::LEADER) => Some("leader"),
-            ("role", rql_repl::role::FOLLOWER) => Some("follower"),
-            ("phase", rql_repl::phase::IDLE) => Some("idle"),
-            ("phase", rql_repl::phase::SEEDING) => Some("seeding"),
-            ("phase", rql_repl::phase::STREAMING) => Some("streaming"),
-            _ => None,
-        };
-        out.push_str(name);
-        out.push(' ');
-        match word {
-            Some(w) => out.push_str(w),
-            None => out.push_str(&value.to_string()),
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("lag_seconds {lag_seconds:.6}\n"));
-    out
 }
 
 /// Failures that carry their registry code inline (`[RQL210] …` from

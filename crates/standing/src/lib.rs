@@ -89,7 +89,7 @@ pub struct RegisterOutcome {
     pub snapshots_seeded: u64,
 }
 
-/// Point-in-time status of one registered query (for `METRICS`).
+/// Point-in-time status of one registered query.
 #[derive(Debug, Clone)]
 pub struct QueryStatus {
     /// Registered name.
@@ -111,6 +111,73 @@ pub struct QueryStatus {
     pub push_mean_micros: u64,
     /// p99 push latency in microseconds.
     pub push_p99_micros: u64,
+}
+
+rql_trace::registry! {
+    /// Aggregated standing-query metrics, the `standing_` section of
+    /// `METRICS`. The gauges describe the live queries; the counters
+    /// also keep what unregistered queries counted, so none ever falls.
+    pub struct StandingSnapshot {
+        /// Registered standing queries.
+        queries: gauge,
+        /// Live subscriptions across all queries.
+        subscribers: gauge,
+        /// Snapshots folded by seeding batch passes.
+        snapshots_seeded: counter,
+        /// Snapshots folded incrementally after registration.
+        snapshots_maintained: counter,
+        /// Heap/pagelog pages read by maintenance passes.
+        pages_scanned: counter,
+        /// Pages skipped by delta caching or sidecar pruning.
+        pages_skipped: counter,
+        /// Delta rows (added + removed) pushed to subscribers.
+        rows_pushed: counter,
+        /// Maintenance passes that failed (gaps in maintained tables).
+        maintain_errors: counter,
+        /// Push-latency observations (one per subscriber frame).
+        push_count: counter,
+        /// Mean push latency in microseconds (count-weighted across
+        /// queries).
+        push_mean_micros: gauge,
+        /// Worst per-query p99 push latency in microseconds.
+        push_p99_micros: gauge,
+    }
+}
+
+impl StandingSnapshot {
+    /// Aggregate per-query statuses: counters summed, gauges over the
+    /// given queries.
+    pub fn from_statuses(statuses: &[QueryStatus]) -> StandingSnapshot {
+        let mut s = StandingSnapshot {
+            queries: statuses.len() as u64,
+            ..Default::default()
+        };
+        let mut weighted_mean = 0u64;
+        for q in statuses {
+            s.accumulate(&q.counters());
+            s.subscribers += q.subscribers;
+            weighted_mean += q.push_mean_micros.saturating_mul(q.push_count);
+            s.push_p99_micros = s.push_p99_micros.max(q.push_p99_micros);
+        }
+        s.push_mean_micros = weighted_mean.checked_div(s.push_count).unwrap_or(0);
+        s
+    }
+}
+
+impl QueryStatus {
+    /// This query's counters, every gauge left zero.
+    fn counters(&self) -> StandingSnapshot {
+        StandingSnapshot {
+            snapshots_seeded: self.stats.snapshots_seeded,
+            snapshots_maintained: self.stats.snapshots_maintained,
+            pages_scanned: self.stats.pages_scanned,
+            pages_skipped: self.stats.pages_skipped,
+            rows_pushed: self.stats.rows_pushed,
+            maintain_errors: self.maintain_errors,
+            push_count: self.push_count,
+            ..Default::default()
+        }
+    }
 }
 
 struct Registered {
@@ -141,6 +208,21 @@ impl Registered {
             ok
         });
     }
+
+    fn status(&self, name: &str) -> QueryStatus {
+        let maintainer = self.maintainer.lock();
+        QueryStatus {
+            name: name.to_owned(),
+            table: maintainer.spec().table.clone(),
+            mechanism: maintainer.spec().kind.udf_name(),
+            subscribers: self.subscribers.lock().len() as u64,
+            stats: maintainer.stats(),
+            maintain_errors: self.maintain_errors.load(Ordering::Relaxed),
+            push_count: self.push_latency.count(),
+            push_mean_micros: self.push_latency.mean_micros(),
+            push_p99_micros: self.push_latency.quantile_micros(0.99),
+        }
+    }
 }
 
 /// The registry of standing queries. One per server (or embedded host);
@@ -148,6 +230,8 @@ impl Registered {
 #[derive(Default)]
 pub struct StandingEngine {
     queries: RwLock<BTreeMap<String, Arc<Registered>>>,
+    /// Counters of unregistered queries, kept so totals never fall.
+    retired: Mutex<StandingSnapshot>,
 }
 
 impl StandingEngine {
@@ -208,9 +292,14 @@ impl StandingEngine {
     /// [`PushFrame::End`]`(Unregistered)`; the result table is left in
     /// the auxiliary database as-is. Returns whether the query existed.
     pub fn unregister(&self, name: &str) -> bool {
-        let Some(reg) = self.queries.write().remove(name) else {
+        let mut queries = self.queries.write();
+        let Some(reg) = queries.remove(name) else {
             return false;
         };
+        // Folded under the registry lock, so `snapshot` never sees the
+        // query in both places or in neither.
+        self.retired.lock().accumulate(&reg.status(name).counters());
+        drop(queries);
         reg.push(&PushFrame::End(EndReason::Unregistered), None);
         reg.subscribers.lock().clear();
         true
@@ -271,26 +360,20 @@ impl StandingEngine {
         }
     }
 
-    /// Status of every registered query, in name order (for `METRICS`).
+    /// Status of every registered query, in name order.
     pub fn statuses(&self) -> Vec<QueryStatus> {
-        self.queries
-            .read()
-            .iter()
-            .map(|(name, reg)| {
-                let maintainer = reg.maintainer.lock();
-                QueryStatus {
-                    name: name.clone(),
-                    table: maintainer.spec().table.clone(),
-                    mechanism: maintainer.spec().kind.udf_name(),
-                    subscribers: reg.subscribers.lock().len() as u64,
-                    stats: maintainer.stats(),
-                    maintain_errors: reg.maintain_errors.load(Ordering::Relaxed),
-                    push_count: reg.push_latency.count(),
-                    push_mean_micros: reg.push_latency.mean_micros(),
-                    push_p99_micros: reg.push_latency.quantile_micros(0.99),
-                }
-            })
-            .collect()
+        let queries = self.queries.read();
+        queries.iter().map(|(name, reg)| reg.status(name)).collect()
+    }
+
+    /// The `standing_` metrics: the live queries aggregated, plus the
+    /// counters retained from unregistered ones.
+    pub fn snapshot(&self) -> StandingSnapshot {
+        let queries = self.queries.read();
+        let live: Vec<QueryStatus> = queries.iter().map(|(name, reg)| reg.status(name)).collect();
+        let mut s = StandingSnapshot::from_statuses(&live);
+        s.accumulate(&self.retired.lock());
+        s
     }
 
     /// Number of registered queries.
@@ -394,5 +477,66 @@ mod tests {
         assert_eq!(st.stats.snapshots_maintained, 1);
         assert_eq!(st.maintain_errors, 0);
         assert_eq!(st.push_count, 1);
+    }
+
+    #[test]
+    fn standing_snapshot_aggregates_statuses() {
+        let mk = |subs: u64, count: u64, mean: u64, p99: u64| QueryStatus {
+            name: "q".into(),
+            table: "T".into(),
+            mechanism: "collatedata",
+            subscribers: subs,
+            stats: MaintainStats {
+                snapshots_seeded: 1,
+                snapshots_maintained: 2,
+                pages_scanned: 10,
+                pages_skipped: 5,
+                rows_pushed: 3,
+                groups_skipped: 0,
+            },
+            maintain_errors: 1,
+            push_count: count,
+            push_mean_micros: mean,
+            push_p99_micros: p99,
+        };
+        let s = StandingSnapshot::from_statuses(&[mk(1, 2, 100, 200), mk(2, 6, 20, 500)]);
+        assert_eq!(s.queries, 2);
+        assert_eq!(s.subscribers, 3);
+        assert_eq!(s.snapshots_seeded, 2);
+        assert_eq!(s.snapshots_maintained, 4);
+        assert_eq!(s.pages_scanned, 20);
+        assert_eq!(s.rows_pushed, 6);
+        assert_eq!(s.maintain_errors, 2);
+        assert_eq!(s.push_count, 8);
+        // (100*2 + 20*6) / 8 = 40: count-weighted, not a mean of means.
+        assert_eq!(s.push_mean_micros, 40);
+        assert_eq!(s.push_p99_micros, 500);
+        assert_eq!(StandingSnapshot::from_statuses(&[]).push_mean_micros, 0);
+    }
+
+    #[test]
+    fn unregister_retains_counters() {
+        let s = session();
+        let engine = StandingEngine::new();
+        engine.attach(s.snap_db().store());
+        engine.register(&s, REG).unwrap();
+        let _sub = engine.subscribe("watch").unwrap().unwrap();
+        s.execute("INSERT INTO t VALUES (4, 40)").unwrap();
+        s.declare_snapshot(None).unwrap();
+        let before = engine.snapshot();
+        assert_eq!((before.queries, before.snapshots_maintained), (1, 1));
+        assert!(engine.unregister("watch"));
+        let after = engine.snapshot();
+        assert_eq!((after.queries, after.subscribers), (0, 0));
+        let counters = |x: &StandingSnapshot| {
+            let mut v = x.values();
+            for (i, m) in StandingSnapshot::METRICS.iter().enumerate() {
+                if m.kind != rql_trace::MetricKind::Counter {
+                    v[i] = 0;
+                }
+            }
+            v
+        };
+        assert_eq!(counters(&after), counters(&before));
     }
 }

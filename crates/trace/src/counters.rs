@@ -14,7 +14,7 @@ use std::time::Duration;
 /// A monotonically-written relaxed counter (also usable as a gauge via
 /// [`Counter::dec`], which saturates at zero).
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter(pub(crate) AtomicU64);
 
 impl Counter {
     /// Fresh zeroed counter.

@@ -98,7 +98,7 @@ span_ids! {
     SptBuild = (17, "spt_build", "retro"),
     /// One write transaction committed (arg = txn id). Declaring
     /// commits run their snapshot hooks — standing-query maintenance
-    /// and push — inside this span, and replication trailers carry the
+    /// and push — inside this span, and replication frames carry the
     /// same txn id, so cross-node stitching can hang follower applies
     /// off the originating commit.
     Commit = (18, "commit", "retro"),

@@ -4,8 +4,8 @@
 //! The observability spine of the RQL reproduction: a low-overhead
 //! structured span/event layer threaded through every crate of the
 //! stack, plus the machinery built on top of it — the flight recorder,
-//! the Chrome-trace/Perfetto exporter, and the counter types `rqld`'s
-//! metrics registry is made of.
+//! the Chrome-trace/Perfetto exporter, and the counter types and
+//! [`registry!`] declarations every metrics registry is made of.
 //!
 //! Design constraints (DESIGN.md §9):
 //!
@@ -33,6 +33,7 @@ pub mod event;
 pub mod flight;
 pub mod http;
 pub mod label;
+pub mod metric;
 pub mod openmetrics;
 pub mod ring;
 pub mod span;
@@ -42,6 +43,7 @@ pub use counters::{Counter, LatencyHistogram, BUCKET_BOUNDS, HISTOGRAM_BUCKETS};
 pub use event::{EventKind, SpanId, TraceEvent};
 pub use flight::{check_balanced, flight_dump, install_panic_hook, FLIGHT_DUMP_EVENTS};
 pub use http::{HttpResponse, HttpServer};
+pub use metric::{Cell, Metric, MetricKind};
 pub use openmetrics::TextBuilder;
 pub use ring::{global, now_nanos, unix_micros, wall_anchor_micros, Ring, DEFAULT_CAPACITY};
 pub use span::{

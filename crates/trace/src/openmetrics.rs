@@ -54,16 +54,14 @@ impl TextBuilder {
     }
 
     fn header(&mut self, name: &str, help: &str, kind: &str) {
-        self.buf.push_str("# HELP ");
-        self.buf.push_str(name);
-        self.buf.push(' ');
-        self.buf.push_str(help);
-        self.buf.push('\n');
-        self.buf.push_str("# TYPE ");
-        self.buf.push_str(name);
-        self.buf.push(' ');
-        self.buf.push_str(kind);
-        self.buf.push('\n');
+        self.buf
+            .push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+    }
+
+    /// One metadata block plus its single unlabelled sample.
+    fn family(&mut self, name: &str, help: &str, kind: &str, value: &str) {
+        self.header(name, help, kind);
+        self.buf.push_str(&format!("{name} {value}\n"));
     }
 
     /// A monotonic counter. `_total` is appended to the name unless it
@@ -73,31 +71,17 @@ impl TextBuilder {
         if !name.ends_with("_total") {
             name.push_str("_total");
         }
-        self.header(&name, help, "counter");
-        self.buf.push_str(&name);
-        self.buf.push(' ');
-        self.buf.push_str(&value.to_string());
-        self.buf.push('\n');
+        self.family(&name, help, "counter", &value.to_string());
     }
 
     /// An integer gauge.
     pub fn gauge(&mut self, name: &str, help: &str, value: u64) {
-        let name = sanitize(name);
-        self.header(&name, help, "gauge");
-        self.buf.push_str(&name);
-        self.buf.push(' ');
-        self.buf.push_str(&value.to_string());
-        self.buf.push('\n');
+        self.family(&sanitize(name), help, "gauge", &value.to_string());
     }
 
     /// A float gauge (uptime, lag in seconds, ratios).
     pub fn gauge_f64(&mut self, name: &str, help: &str, value: f64) {
-        let name = sanitize(name);
-        self.header(&name, help, "gauge");
-        self.buf.push_str(&name);
-        self.buf.push(' ');
-        self.buf.push_str(&fmt_f64(value));
-        self.buf.push('\n');
+        self.family(&sanitize(name), help, "gauge", &fmt_f64(value));
     }
 
     /// A gauge with one fixed label set rendered verbatim, value 1 —
@@ -131,30 +115,18 @@ impl TextBuilder {
     pub fn histogram(&mut self, name: &str, help: &str, hist: &LatencyHistogram) {
         let name = sanitize(name);
         self.header(&name, help, "histogram");
-        let counts = hist.bucket_counts();
         let mut cumulative = 0u64;
-        for (i, n) in counts.iter().enumerate() {
+        for (n, bound) in hist.bucket_counts().iter().zip(BUCKET_BOUNDS) {
             cumulative += n;
-            let le = BUCKET_BOUNDS[i] as f64 / 1e6;
-            self.buf.push_str(&name);
-            self.buf.push_str("_bucket{le=\"");
-            self.buf.push_str(&fmt_f64(le));
-            self.buf.push_str("\"} ");
-            self.buf.push_str(&cumulative.to_string());
-            self.buf.push('\n');
+            let le = fmt_f64(bound as f64 / 1e6);
+            self.buf
+                .push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
         }
-        self.buf.push_str(&name);
-        self.buf.push_str("_bucket{le=\"+Inf\"} ");
-        self.buf.push_str(&hist.count().to_string());
-        self.buf.push('\n');
-        self.buf.push_str(&name);
-        self.buf.push_str("_sum ");
-        self.buf.push_str(&fmt_f64(hist.sum_micros() as f64 / 1e6));
-        self.buf.push('\n');
-        self.buf.push_str(&name);
-        self.buf.push_str("_count ");
-        self.buf.push_str(&hist.count().to_string());
-        self.buf.push('\n');
+        let count = hist.count();
+        let sum = fmt_f64(hist.sum_micros() as f64 / 1e6);
+        self.buf.push_str(&format!(
+            "{name}_bucket{{le=\"+Inf\"}} {count}\n{name}_sum {sum}\n{name}_count {count}\n"
+        ));
     }
 
     /// Finish the page (Prometheus text format is newline-terminated

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a Prometheus text-exposition page (rqld's /metrics).
 
-Usage: validate_openmetrics.py [FILE]
+Usage: validate_openmetrics.py [--not-below EARLIER] [FILE]
 
 Reads FILE (or stdin) and checks the structural invariants a scraper
 relies on. Stdlib-only (CI runners have no prometheus_client):
@@ -19,6 +19,12 @@ Also asserts the page carries the conventional `rql_build_info` and
 `rql_uptime_seconds` families, so a scrape that silently lost the
 registry wiring fails loudly. Exits non-zero with a line-qualified
 message on the first violation.
+
+With `--not-below EARLIER`, FILE is a later scrape of the same process
+as the page in EARLIER, and every counter sample (a counter's `_total`,
+a histogram's `_count` and `_bucket` series) must be present in FILE and
+at least its EARLIER value: a counter that falls reads as a process
+restart to Prometheus and corrupts every `rate()` over it.
 """
 
 import math
@@ -54,21 +60,15 @@ def family_of(sample_name, types):
     return None
 
 
-def main():
-    if len(sys.argv) > 2:
-        sys.exit(__doc__.strip().splitlines()[2])
-    if len(sys.argv) == 2:
-        with open(sys.argv[1], encoding="utf-8") as f:
-            text = f.read()
-    else:
-        text = sys.stdin.read()
-
+def validate(text):
+    """Check one page; return its monotonic samples as {series: value}."""
     types = {}  # family -> kind
     helps = set()
     # histogram family -> list of (le, cumulative, lineno)
     buckets = {}
     counts = {}  # histogram family -> (_count value, lineno)
     samples = 0
+    monotonic = {}  # counter-like series -> value
 
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -100,6 +100,7 @@ def main():
         name, labels, raw = m.groups()
         value = parse_value(raw, lineno)
         samples += 1
+        series = name + (labels or "")
         family = family_of(name, types)
         if family is None:
             fail(lineno, f"sample {name!r} has no preceding TYPE declaration")
@@ -108,6 +109,10 @@ def main():
             fail(lineno, f"counter sample {name!r} does not end in _total")
         if kind == "counter" and value < 0:
             fail(lineno, f"negative counter {name!r} = {value}")
+        if kind == "counter" or (
+            kind == "histogram" and name.endswith(("_count", "_bucket"))
+        ):
+            monotonic[series] = value
         if kind == "histogram":
             if name.endswith("_bucket"):
                 lm = re.search(r'le="([^"]*)"', labels or "")
@@ -146,6 +151,34 @@ def main():
         f"openmetrics OK: {len(types)} families, {samples} samples, "
         f"{len(buckets)} histogram(s)"
     )
+    return monotonic
+
+
+def read(path):
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def main():
+    args = sys.argv[1:]
+    earlier = None
+    if args[:1] == ["--not-below"] and len(args) >= 2:
+        earlier = validate(read(args[1]))
+        args = args[2:]
+    if len(args) > 1 or args[:1] == ["--not-below"]:
+        sys.exit(__doc__.strip().splitlines()[2])
+    later = validate(read(args[0]) if args else sys.stdin.read())
+    if earlier is None:
+        return
+    for series, before in earlier.items():
+        if series not in later:
+            sys.exit(f"openmetrics regression: counter {series} disappeared")
+        if later[series] < before:
+            sys.exit(
+                f"openmetrics regression: counter {series} fell "
+                f"from {before:g} to {later[series]:g}"
+            )
+    print(f"openmetrics OK: {len(earlier)} counter series did not fall")
 
 
 if __name__ == "__main__":

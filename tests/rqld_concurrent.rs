@@ -561,6 +561,73 @@ fn standing_query_lifecycle_over_the_wire() {
 
 /// Graceful drain closes active subscriptions with a terminal END
 /// frame (reason "drained") instead of dropping the socket.
+/// Parse a flat integer `METRICS --json` object into `(key, value)`s.
+fn metrics_json(client: &mut Client) -> Vec<(String, u64)> {
+    let json = client.metrics(true).expect("metrics");
+    let body = json.trim_start_matches('{').trim_end_matches('}');
+    body.split(',')
+        .map(|kv| {
+            let (k, v) = kv.split_once(':').expect("key:value");
+            (k.trim_matches('"').to_owned(), v.parse().expect("integer"))
+        })
+        .collect()
+}
+
+#[test]
+fn standing_counters_never_fall_after_unregister() {
+    let (handle, addr) = start_server(ServerConfig::default());
+    let mut admin = Client::connect(addr).expect("connect admin");
+    admin.run(SETUP).expect("setup");
+    admin
+        .register(
+            "MAINTAIN QUERY watch AS SELECT CollateData(snap_id, \
+             'SELECT e_user, e_val FROM events', 'Watched') FROM SnapIds",
+        )
+        .expect("register");
+    let mut sub = Client::connect(addr).expect("connect subscriber");
+    sub.subscribe("watch").expect("subscribe");
+    for user in ["fay", "gus"] {
+        admin
+            .run(&format!(
+                "BEGIN;\nINSERT INTO events VALUES ('{user}', 'login', 9);\n\
+                 COMMIT WITH SNAPSHOT;"
+            ))
+            .expect("commit");
+        assert!(matches!(
+            sub.next_event().expect("delta"),
+            SubscriptionEvent::Delta(_)
+        ));
+    }
+
+    let counters: Vec<String> = rql_repro::rqld::StandingSnapshot::METRICS
+        .iter()
+        .filter(|m| m.kind == trace::MetricKind::Counter)
+        .map(|m| format!("standing_{}", m.name))
+        .collect();
+    let pick = |all: &[(String, u64)]| -> Vec<(String, u64)> {
+        all.iter()
+            .filter(|(k, _)| counters.contains(k))
+            .cloned()
+            .collect()
+    };
+    let before = pick(&metrics_json(&mut admin));
+    assert_eq!(before.len(), counters.len(), "{before:?}");
+    let value =
+        |all: &[(String, u64)], key: &str| all.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+    assert_eq!(value(&before, "standing_snapshots_maintained"), Some(2));
+    assert!(value(&before, "standing_rows_pushed") > Some(0));
+
+    admin.unregister("watch").expect("unregister");
+    let after_all = metrics_json(&mut admin);
+    assert_eq!(value(&after_all, "standing_queries"), Some(0));
+    for (key, earlier) in &before {
+        let later = value(&after_all, key).expect("counter still exported");
+        assert!(later >= *earlier, "{key} fell from {earlier} to {later}");
+    }
+    handle.shutdown();
+    handle.wait();
+}
+
 #[test]
 fn graceful_drain_ends_subscriptions_with_terminal_frame() {
     let (handle, addr) = start_server(ServerConfig::default());
